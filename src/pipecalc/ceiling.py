@@ -103,10 +103,9 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
     cap_h = ceiling(p, h)
     machine_min = min(p.capacity[s] for s in machine)
     n = math.ceil(cap_h / machine_min) + 1
-    factor = {
-        s: Fraction(n) if s in set(machine) else Fraction(1) for s in p.stages
-    }
-    witness = Multiplier(factor)
+    witness = Multiplier({
+        s: Fraction(1) if s in h.human_stages else Fraction(n) for s in p.stages
+    })
     check_admissible(p, witness)
     return witness
 

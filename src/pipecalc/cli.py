@@ -33,7 +33,7 @@ from .characterize import (
     migration_decomposition,
     preservation_report,
 )
-from .documents import DocumentError, load_document
+from .documents import DocumentError, _exact, load_document
 from .falsepos import (
     ConstantPrecision,
     ExponentialDecayPrecision,
@@ -55,10 +55,6 @@ from .model import (
 from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_allocation
 
 
-def _frac(x) -> str:
-    return str(x)
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -72,7 +68,7 @@ def _cmd_analyze(args) -> int:
     rep = bottleneck_report(doc.pipeline)
     payload = {
         "pipeline": doc.name,
-        "throughput": _frac(rep.throughput),
+        "throughput": str(rep.throughput),
         "bottlenecks": list(rep.bottlenecks),
         "non_bottlenecks": list(rep.non_bottlenecks),
     }
@@ -94,13 +90,13 @@ def _cmd_perturb(args) -> int:
     payload = {
         "scenario": args.scenario or "(identity)",
         "outcome": cls.outcome.value,
-        "base_throughput": _frac(cls.base_throughput),
-        "new_throughput": _frac(cls.new_throughput),
+        "base_throughput": str(cls.base_throughput),
+        "new_throughput": str(cls.new_throughput),
         "witness": cls.witness,
         "preserved": pres.preserved,
         "condition_i": pres.condition_i,
         "condition_ii": pres.condition_ii,
-        "common_factor": None if pres.common_factor is None else _frac(pres.common_factor),
+        "common_factor": None if pres.common_factor is None else str(pres.common_factor),
         "departed": list(migr.departed),
         "entered": list(migr.entered),
     }
@@ -135,9 +131,9 @@ def _cmd_ceiling(args) -> int:
     witness = tightness_witness(doc.pipeline, h)
     achieved = perturbed_throughput(doc.pipeline, witness)
     payload = {
-        "ceiling": _frac(cap),
-        "witness": {s: _frac(f) for s, f in sorted(witness.factor.items())},
-        "witness_throughput": _frac(achieved),
+        "ceiling": str(cap),
+        "witness": {s: str(f) for s, f in sorted(witness.factor.items())},
+        "witness_throughput": str(achieved),
     }
     lines = [
         f"pinned stages: {', '.join(sorted(h.human_stages))}",
@@ -148,7 +144,7 @@ def _cmd_ceiling(args) -> int:
     ]
     if h.assist_bound is not None:
         gen = generalized_ceiling(doc.pipeline, h)
-        payload["generalized_ceiling"] = _frac(gen)
+        payload["generalized_ceiling"] = str(gen)
         lines.append(f"assist-bound ceiling (bound only): {gen}")
     _emit(args, payload, lines)
     return 0
@@ -162,10 +158,10 @@ def _cmd_compare(args) -> int:
         pair, atk.scenario(args.scenario), dfn.scenario(args.scenario)
     )
     payload = {
-        "baseline_ratio": _frac(rep.baseline_ratio),
-        "perturbed_ratio": _frac(rep.perturbed_ratio),
-        "attacker_gain": _frac(rep.attacker_gain),
-        "defender_gain": _frac(rep.defender_gain),
+        "baseline_ratio": str(rep.baseline_ratio),
+        "perturbed_ratio": str(rep.perturbed_ratio),
+        "attacker_gain": str(rep.attacker_gain),
+        "defender_gain": str(rep.defender_gain),
         "favours_attacker": rep.favours_attacker,
     }
     _emit(args, payload, [
@@ -179,10 +175,14 @@ def _cmd_compare(args) -> int:
 
 
 _PRECISION_FAMILIES = {
-    "constant": lambda cfg: ConstantPrecision(cfg["level"]),
-    "rational_decay": lambda cfg: RationalDecayPrecision(cfg["coefficient"]),
-    "exponential_decay": lambda cfg: ExponentialDecayPrecision(cfg["coefficient"]),
-    "table": lambda cfg: TablePrecision(cfg["points"]),
+    "constant": lambda cfg: ConstantPrecision(_exact(cfg["level"], "level")),
+    "rational_decay": lambda cfg: RationalDecayPrecision(
+        _exact(cfg["coefficient"], "coefficient")),
+    "exponential_decay": lambda cfg: ExponentialDecayPrecision(
+        _exact(cfg["coefficient"], "coefficient")),
+    "table": lambda cfg: TablePrecision(
+        [(_exact(lam, "table rate"), _exact(p, "table precision"))
+         for lam, p in cfg["points"]]),
 }
 
 
@@ -196,18 +196,19 @@ def _cmd_fp(args) -> int:
     payload: dict = {}
     lines: list[str] = []
     status = 0
+    samples = [_exact(s, "sample") for s in cfg.get("samples", [])]
 
     if "fixed_fraction" in cfg:
         ff = cfg["fixed_fraction"]
         model = FixedFractionModel(
-            ff["false_positive_fraction"], ff["investigation_capacity"]
+            _exact(ff["false_positive_fraction"], "false_positive_fraction"),
+            _exact(ff["investigation_capacity"], "investigation_capacity"),
         )
-        samples = [Fraction(s) for s in cfg.get("samples", [])]
         above = [s for s in samples if s > model.investigation_capacity]
         verdict = plateau_check(model, above)
         payload["plateau"] = {
             "passed": verdict.passed,
-            "common_value": _frac(verdict.common_value),
+            "common_value": str(verdict.common_value),
             "samples_checked": verdict.samples_checked,
         }
         lines.append(
@@ -229,21 +230,19 @@ def _cmd_fp(args) -> int:
                 f"have {sorted(_PRECISION_FAMILIES)}"
             )
         p = _PRECISION_FAMILIES[family](pc)
-        c_inv = Fraction(pc["investigation_capacity"])
-        samples = sorted(
-            {Fraction(s) for s in cfg.get("samples", []) if Fraction(s) > c_inv}
-        )
-        verdict = decline_check(p, c_inv, samples)
+        c_inv = _exact(pc["investigation_capacity"], "investigation_capacity")
+        above = sorted({s for s in samples if s > c_inv})
+        verdict = decline_check(p, c_inv, above)
         payload["decline"] = {
             "passed": verdict.passed,
             "mode": verdict.mode,
-            "values": [_frac(v) for v in verdict.values],
+            "values": [str(v) for v in verdict.values],
         }
         lines.append(
             f"precision-model {verdict.mode}: "
             f"{'pass' if verdict.passed else 'FAIL'}"
         )
-        for lam, val in zip(samples, verdict.values):
+        for lam, val in zip(above, verdict.values):
             lines.append(f"  U_p({lam}) = {val}")
         if not verdict.passed:
             status = 2
@@ -256,15 +255,15 @@ def _cmd_plan(args) -> int:
     doc = load_document(args.file)
     cost = CostModel.uniform(doc.pipeline, Fraction(args.budget),
                              Fraction(args.unit_cost))
-    payload: dict = {"budget": _frac(cost.budget)}
+    payload: dict = {"budget": str(cost.budget)}
     lines = [f"budget: {cost.budget} (unit cost {args.unit_cost} per stage)"]
 
     try:
         triv = trivial_allocation(doc.pipeline, cost)
         payload["trivial"] = {
-            "factors": {s: _frac(f) for s, f in sorted(triv.multiplier.factor.items())},
-            "throughput": _frac(triv.achieved_throughput),
-            "spent": _frac(triv.spent),
+            "factors": {s: str(f) for s, f in sorted(triv.multiplier.factor.items())},
+            "throughput": str(triv.achieved_throughput),
+            "spent": str(triv.spent),
         }
         lines.append(
             f"trivial (single-bottleneck) allocation: throughput "
@@ -274,11 +273,11 @@ def _cmd_plan(args) -> int:
         payload["trivial"] = {"refused": str(exc)}
         lines.append(f"trivial allocation refused: {exc}")
 
-    result = maxmin_allocation(doc.pipeline, cost, Fraction(args.tolerance))
+    result = maxmin_allocation(doc.pipeline, cost)
     payload["maxmin"] = {
-        "factors": {s: _frac(f) for s, f in sorted(result.multiplier.factor.items())},
-        "throughput": _frac(result.achieved_throughput),
-        "spent": _frac(result.spent),
+        "factors": {s: str(f) for s, f in sorted(result.multiplier.factor.items())},
+        "throughput": str(result.achieved_throughput),
+        "spent": str(result.spent),
     }
     lines.append(
         f"max-min allocation: throughput {result.achieved_throughput}, "
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--budget", required=True)
     sp.add_argument("--unit-cost", default="1")
-    sp.add_argument("--tolerance", default="1/1024")
 
     sp = add("verify", _cmd_verify, "randomized verification harness")
     sp.add_argument("--seed", type=int, default=0)

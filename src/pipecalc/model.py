@@ -132,15 +132,12 @@ def validate_pipeline(
     stages: Iterable[str], capacity: Mapping[str, RationalInput]
 ) -> Pipeline | ValidationReport:
     """Build a Pipeline, or return a report listing every violated check."""
-    stage_tuple = tuple(stages)
     try:
-        cap = {s: as_fraction(c) for s, c in capacity.items()}
+        return Pipeline(stages, capacity)
+    except PipelineValidationError as exc:
+        return exc.report
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         return ValidationReport((f"capacity not an exact rational: {exc}",))
-    violations = _check_description(stage_tuple, cap)
-    if violations:
-        return ValidationReport(tuple(violations))
-    return Pipeline(stage_tuple, cap)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ how much to improve each stage.  Two allocators:
     tie changes nothing.
   * `maxmin_allocation`: exact max-min water filling.  For a target
     throughput t, the cheapest multiplier is factor(v) = max(1, t / c(v));
-    its cost is continuous and nondecreasing in t, so the best affordable
-    target is found by rational bisection.
+    its cost is continuous, increasing, and linear between consecutive
+    sorted capacities, so one sweep in capacity order solves
+    cost(t) = budget exactly.
 
-Cost linear in (factor - 1) is a modelling choice; nothing here depends on
-it beyond the cost function itself.
+Cost linear in (factor - 1) is a modelling choice; the max-min sweep's
+closed form for each segment relies on it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .model import (
     as_fraction,
     bottleneck_report,
     perturbed_throughput,
-    throughput,
 )
 
 
@@ -110,57 +110,30 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     )
 
 
-def _required_cost(p: Pipeline, c: CostModel, target: Fraction) -> Fraction:
-    """Cost of the cheapest multiplier reaching throughput >= target."""
-    total = Fraction(0)
-    for s in p.stages:
-        shortfall = target / p.capacity[s] - 1
-        if shortfall > 0:
-            total += c.unit_cost[s] * shortfall
-    return total
+def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
+    """Maximise the post-improvement throughput, spending the whole budget.
 
-
-def _multiplier_for_target(p: Pipeline, target: Fraction) -> Multiplier:
-    return Multiplier(
-        {s: max(Fraction(1), target / p.capacity[s]) for s in p.stages}
-    )
-
-
-def maxmin_allocation(
-    p: Pipeline, c: CostModel, tolerance: RationalInput
-) -> AllocationResult:
-    """Maximise the post-improvement throughput under the budget.
-
-    Bisects on the target throughput between the current throughput and the
-    hard upper bound min over v of c(v) * (1 + budget / unit_cost(v)) — no
-    stage's factor can cost more than the whole budget, so no target above
-    that bound is affordable.  Terminates when the bracket is narrower than
-    `tolerance` and returns the exact cheapest multiplier for the bracket's
-    feasible lower endpoint, so the result is always within budget.
+    Reaching throughput t costs C(t) = sum over c(v) < t of
+    u(v) * (t / c(v) - 1).  With the k lowest-capacity stages raised
+    together, C(t) = budget solves to t = (budget + sum u) / sum (u / c);
+    the first k whose t does not pass the next capacity gives the optimum
+    (max-min fair water filling).
     """
     _check_domain(p, c)
-    tolerance = as_fraction(tolerance)
-    if tolerance <= 0:
-        raise ValueError(f"tolerance {tolerance} must be > 0")
+    ordered = sorted(p.stages, key=p.capacity.__getitem__)
+    raised_cost = raised_weight = Fraction(0)
+    for k, s in enumerate(ordered, start=1):
+        raised_cost += c.unit_cost[s]
+        raised_weight += c.unit_cost[s] / p.capacity[s]
+        target = (c.budget + raised_cost) / raised_weight
+        if k == len(ordered) or target <= p.capacity[ordered[k]]:
+            break
 
-    lo = throughput(p)
-    hi = min(
-        p.capacity[s] * (1 + c.budget / c.unit_cost[s]) for s in p.stages
+    mult = Multiplier(
+        {s: max(Fraction(1), target / p.capacity[s]) for s in p.stages}
     )
-    if _required_cost(p, c, hi) <= c.budget:
-        lo = hi
-    else:
-        # invariant: cost(lo) <= budget < cost(hi)
-        while hi - lo > tolerance:
-            mid = (lo + hi) / 2
-            if _required_cost(p, c, mid) <= c.budget:
-                lo = mid
-            else:
-                hi = mid
-
-    mult = _multiplier_for_target(p, lo)
     return AllocationResult(
         multiplier=mult,
         achieved_throughput=perturbed_throughput(p, mult),
-        spent=_required_cost(p, c, lo),
+        spent=sum(c.unit_cost[s] * (f - 1) for s, f in mult.factor.items()),
     )

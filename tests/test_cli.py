@@ -126,6 +126,20 @@ class TestFp:
         }))
         assert main(["fp", str(path)]) == 1
 
+    @pytest.mark.parametrize("model, name", [
+        ({"fixed_fraction": {"false_positive_fraction": "1/2",
+                             "investigation_capacity": "10"},
+          "samples": [6.1]}, "sample"),
+        ({"fixed_fraction": {"false_positive_fraction": 0.1,
+                             "investigation_capacity": "10"}},
+         "false_positive_fraction"),
+    ], ids=["float-sample", "float-parameter"])
+    def test_floats_refused(self, tmp_path, capsys, model, name):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(model))
+        assert main(["fp", str(path)]) == 1
+        assert f"{name} must be exact text" in capsys.readouterr().err
+
 
 class TestPlan:
     def test_budget_one(self, doc_path, capsys):
@@ -135,6 +149,19 @@ class TestPlan:
         payload = json.loads(capsys.readouterr().out)
         assert payload["trivial"]["throughput"] == "2"
         assert payload["trivial"]["spent"] == "1"
+
+    def test_maxmin_spends_budget_exactly(self, doc_path, capsys):
+        assert main([
+            "plan", doc_path, "--budget", "6", "--format", "structured",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["maxmin"]["throughput"] == "108/19"
+        assert payload["maxmin"]["spent"] == "6"
+
+    def test_tolerance_is_a_usage_error(self, doc_path, capsys):
+        assert main([
+            "plan", doc_path, "--budget", "1", "--tolerance", "1/1024",
+        ]) == 1
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pipelines
+from conftest import fractions, pipelines
 from pipecalc import (
     CostModel,
     Multiplier,
@@ -16,8 +16,7 @@ from pipecalc import (
     trivial_allocation,
 )
 from pipecalc.planner import CostModelError
-
-TOL = Fraction(1, 4096)
+from test_acceptance import grid_oracle
 
 
 class TestTrivialAllocation:
@@ -60,7 +59,7 @@ class TestTrivialAllocation:
 class TestMaxminAllocation:
     def test_zero_budget(self, example_pipeline):
         res = maxmin_allocation(
-            example_pipeline, CostModel.uniform(example_pipeline, 0), TOL
+            example_pipeline, CostModel.uniform(example_pipeline, 0)
         )
         assert res.achieved_throughput == throughput(example_pipeline)
         assert res.spent == 0
@@ -68,25 +67,20 @@ class TestMaxminAllocation:
     def test_raises_tied_bottlenecks_together(self):
         # budget 2 buys factor 2 on each tied stage (cost 1 + 1)
         p = Pipeline(("u", "v", "w"), {"u": 2, "v": 2, "w": 5})
-        res = maxmin_allocation(p, CostModel.uniform(p, 2), TOL)
-        assert abs(res.achieved_throughput - 4) <= TOL
-        assert res.spent <= 2
+        res = maxmin_allocation(p, CostModel.uniform(p, 2))
+        assert res.achieved_throughput == 4
+        assert res.spent == 2
         assert res.multiplier.factor["u"] == res.multiplier.factor["v"]
 
     def test_large_budget_ties_all_stages(self, example_pipeline):
         # budget 6 lifts all three stages to a common level t where
         # (t - 1) + (t/3 - 1) + (t/4 - 1) = 6, i.e. t = 108/19
         res = maxmin_allocation(
-            example_pipeline, CostModel.uniform(example_pipeline, 6), TOL
+            example_pipeline, CostModel.uniform(example_pipeline, 6)
         )
-        assert abs(res.achieved_throughput - Fraction(108, 19)) <= TOL
+        assert res.achieved_throughput == Fraction(108, 19)
+        assert res.spent == 6
         assert all(f > 1 for f in res.multiplier.factor.values())
-
-    def test_nonpositive_tolerance_rejected(self, example_pipeline):
-        with pytest.raises(ValueError):
-            maxmin_allocation(
-                example_pipeline, CostModel.uniform(example_pipeline, 1), 0
-            )
 
     def test_unit_costs_validated(self, example_pipeline):
         with pytest.raises(CostModelError):
@@ -96,49 +90,7 @@ class TestMaxminAllocation:
 
     def test_domain_mismatch(self, example_pipeline):
         with pytest.raises(CostModelError):
-            maxmin_allocation(example_pipeline, CostModel({"a": 1}, 1), TOL)
-
-
-def grid_search_optimum(p: Pipeline, budget: Fraction,
-                        step=Fraction(1, 32)) -> Fraction:
-    """Best achievable min over stagewise grid factors within the budget
-    (unit costs 1).
-
-    Any grid profile's achieved throughput equals some product
-    (grid factor) * (capacity), and for each such target the cheapest grid
-    profile reaching it takes, per stage, the smallest grid factor whose
-    product meets the target.  Scanning all targets with that canonical
-    profile is therefore an exhaustive search over grid profiles.
-    """
-    import math
-
-    caps = [p.capacity[s] for s in p.stages]
-    max_factor = 1 + budget  # a single factor above this already busts the budget
-    candidates = set()
-    for c in caps:
-        k = 0
-        while 1 + k * step <= max_factor:
-            candidates.add((1 + k * step) * c)
-            k += 1
-    best = throughput(p)
-    for target in candidates:
-        if target <= best:
-            continue
-        cost = Fraction(0)
-        feasible = True
-        for c in caps:
-            need = target / c
-            f = Fraction(1) if need <= 1 else 1 + math.ceil((need - 1) / step) * step
-            if f > max_factor:
-                feasible = False
-                break
-            cost += f - 1
-            if cost > budget:
-                feasible = False
-                break
-        if feasible:
-            best = target
-    return best
+            maxmin_allocation(example_pipeline, CostModel({"a": 1}, 1))
 
 
 @given(
@@ -148,29 +100,29 @@ def grid_search_optimum(p: Pipeline, budget: Fraction,
 def test_matches_grid_oracle(caps, budget):
     stages = tuple(f"s{i}" for i in range(len(caps)))
     p = Pipeline(stages, dict(zip(stages, caps)))
-    res = maxmin_allocation(p, CostModel.uniform(p, budget), Fraction(1, 1024))
-    assert res.achieved_throughput >= grid_search_optimum(p, Fraction(budget)) - Fraction(1, 1024)
+    res = maxmin_allocation(p, CostModel.uniform(p, budget))
+    assert res.achieved_throughput >= grid_oracle(caps, budget)
 
 
 @given(pipelines(max_stages=4), st.integers(min_value=0, max_value=6))
 def test_feasible_and_no_worse_than_baseline(p, budget):
-    res = maxmin_allocation(p, CostModel.uniform(p, budget), TOL)
+    res = maxmin_allocation(p, CostModel.uniform(p, budget))
     assert all(f >= 1 for f in res.multiplier.factor.values())
-    assert res.spent <= budget
+    assert res.spent == budget
     assert res.achieved_throughput == perturbed_throughput(p, res.multiplier)
     assert res.achieved_throughput >= throughput(p)
 
 
 @given(pipelines(max_stages=4), st.integers(min_value=0, max_value=5))
 def test_monotone_in_budget(p, budget):
-    r1 = maxmin_allocation(p, CostModel.uniform(p, budget), TOL)
-    r2 = maxmin_allocation(p, CostModel.uniform(p, budget + 1), TOL)
+    r1 = maxmin_allocation(p, CostModel.uniform(p, budget))
+    r2 = maxmin_allocation(p, CostModel.uniform(p, budget + 1))
     assert r2.achieved_throughput >= r1.achieved_throughput
 
 
 @given(pipelines(max_stages=4), st.integers(min_value=1, max_value=6))
 def test_strict_improvement_covers_all_bottlenecks(p, budget):
-    res = maxmin_allocation(p, CostModel.uniform(p, budget), TOL)
+    res = maxmin_allocation(p, CostModel.uniform(p, budget))
     if res.achieved_throughput > throughput(p):
         t = throughput(p)
         assert all(
@@ -178,3 +130,21 @@ def test_strict_improvement_covers_all_bottlenecks(p, budget):
             for s in p.stages
             if p.capacity[s] == t
         )
+
+
+def cost_to_reach(p: Pipeline, unit_cost, target: Fraction) -> Fraction:
+    """C(t): cheapest spend lifting every stage to at least target."""
+    return sum(
+        unit_cost[s] * (target / p.capacity[s] - 1)
+        for s in p.stages
+        if p.capacity[s] < target
+    )
+
+
+@given(pipelines(max_stages=5), st.data(),
+       st.integers(min_value=0, max_value=20))
+def test_nonuniform_costs_spend_budget_exactly(p, data, budget):
+    unit_cost = {s: data.draw(fractions(max_num=10, max_den=4)) for s in p.stages}
+    res = maxmin_allocation(p, CostModel(unit_cost, budget))
+    assert res.spent == budget
+    assert cost_to_reach(p, unit_cost, res.achieved_throughput) == budget
