@@ -174,15 +174,39 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _section(cfg: dict, key: str) -> dict:
+    if not isinstance(cfg[key], dict):
+        raise DocumentError(f"model file section {key!r} must be an object")
+    return cfg[key]
+
+
+def _field(section: dict, key: str, where: str):
+    if key not in section:
+        raise DocumentError(f"model file section {where!r} is missing {key!r}")
+    return section[key]
+
+
+def _number(section: dict, key: str, where: str) -> Fraction:
+    return _exact(_field(section, key, where), key)
+
+
+def _table_points(pc: dict) -> list[tuple[Fraction, Fraction]]:
+    points = _field(pc, "points", "precision")
+    if not isinstance(points, list) or not all(
+        isinstance(pt, list) and len(pt) == 2 for pt in points
+    ):
+        raise DocumentError("precision points must be [rate, precision] pairs")
+    return [(_exact(lam, "table rate"), _exact(p, "table precision"))
+            for lam, p in points]
+
+
 _PRECISION_FAMILIES = {
-    "constant": lambda cfg: ConstantPrecision(_exact(cfg["level"], "level")),
-    "rational_decay": lambda cfg: RationalDecayPrecision(
-        _exact(cfg["coefficient"], "coefficient")),
-    "exponential_decay": lambda cfg: ExponentialDecayPrecision(
-        _exact(cfg["coefficient"], "coefficient")),
-    "table": lambda cfg: TablePrecision(
-        [(_exact(lam, "table rate"), _exact(p, "table precision"))
-         for lam, p in cfg["points"]]),
+    "constant": lambda pc: ConstantPrecision(_number(pc, "level", "precision")),
+    "rational_decay": lambda pc: RationalDecayPrecision(
+        _number(pc, "coefficient", "precision")),
+    "exponential_decay": lambda pc: ExponentialDecayPrecision(
+        _number(pc, "coefficient", "precision")),
+    "table": lambda pc: TablePrecision(_table_points(pc)),
 }
 
 
@@ -192,17 +216,22 @@ def _cmd_fp(args) -> int:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DocumentError(f"cannot read model file: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise DocumentError("model file root must be an object")
+    raw_samples = cfg.get("samples", [])
+    if not isinstance(raw_samples, list):
+        raise DocumentError("model file 'samples' must be a list")
 
     payload: dict = {}
     lines: list[str] = []
     status = 0
-    samples = [_exact(s, "sample") for s in cfg.get("samples", [])]
+    samples = [_exact(s, "sample") for s in raw_samples]
 
     if "fixed_fraction" in cfg:
-        ff = cfg["fixed_fraction"]
+        ff = _section(cfg, "fixed_fraction")
         model = FixedFractionModel(
-            _exact(ff["false_positive_fraction"], "false_positive_fraction"),
-            _exact(ff["investigation_capacity"], "investigation_capacity"),
+            _number(ff, "false_positive_fraction", "fixed_fraction"),
+            _number(ff, "investigation_capacity", "fixed_fraction"),
         )
         above = [s for s in samples if s > model.investigation_capacity]
         verdict = plateau_check(model, above)
@@ -222,15 +251,15 @@ def _cmd_fp(args) -> int:
             lines.append(f"  U({lam}) = {simple_useful(lam, model)}")
 
     if "precision" in cfg:
-        pc = cfg["precision"]
+        pc = _section(cfg, "precision")
         family = pc.get("family")
-        if family not in _PRECISION_FAMILIES:
+        if not isinstance(family, str) or family not in _PRECISION_FAMILIES:
             raise DocumentError(
                 f"unknown precision family {family!r}; "
                 f"have {sorted(_PRECISION_FAMILIES)}"
             )
         p = _PRECISION_FAMILIES[family](pc)
-        c_inv = _exact(pc["investigation_capacity"], "investigation_capacity")
+        c_inv = _number(pc, "investigation_capacity", "precision")
         above = sorted({s for s in samples if s > c_inv})
         verdict = decline_check(p, c_inv, above)
         payload["decline"] = {

@@ -99,6 +99,8 @@ def parse_document(text: str) -> PipelineDocument:
         if not isinstance(rec, dict) or "id" not in rec or "capacity" not in rec:
             raise DocumentError(f"stage record {rec!r} needs 'id' and 'capacity'")
         sid = rec["id"]
+        if not isinstance(sid, str):
+            raise DocumentError(f"stage id {sid!r} must be text")
         stages.append(sid)
         capacity[sid] = _exact(rec["capacity"], f"capacity of stage {sid!r}")
 
@@ -115,11 +117,17 @@ def parse_document(text: str) -> PipelineDocument:
         if not isinstance(auth_raw, dict) or "human_stages" not in auth_raw:
             raise DocumentError("authority must carry human_stages")
         human = auth_raw["human_stages"]
+        if not isinstance(human, list) or not all(isinstance(s, str) for s in human):
+            raise DocumentError("authority.human_stages must be a list of stage ids")
         unknown = sorted(set(human) - set(pipeline.stages))
         if unknown:
             raise DocumentError(f"authority names unknown stages {unknown}")
         bounds = None
         if "assist_bounds" in auth_raw:
+            if not isinstance(auth_raw["assist_bounds"], dict):
+                raise DocumentError(
+                    "authority.assist_bounds must map stage ids to bounds"
+                )
             bounds = {
                 s: _exact(v, f"assist bound of stage {s!r}")
                 for s, v in auth_raw["assist_bounds"].items()
@@ -129,8 +137,11 @@ def parse_document(text: str) -> PipelineDocument:
         except ConfigurationError as exc:
             raise DocumentError(f"invalid authority: {exc}") from None
 
+    scenarios_raw = raw.get("scenarios", {})
+    if not isinstance(scenarios_raw, dict):
+        raise DocumentError("scenarios must map scenario names to factor maps")
     scenarios = {}
-    for scen_name, factors_raw in raw.get("scenarios", {}).items():
+    for scen_name, factors_raw in scenarios_raw.items():
         if not isinstance(factors_raw, dict):
             raise DocumentError(f"scenario {scen_name!r} must map stages to factors")
         unknown = sorted(set(factors_raw) - set(pipeline.stages))

@@ -134,10 +134,16 @@ def generate_pair(
     """Attacker instance `index` paired with an independent defender drawn
     from an auxiliary stream of the same (seed, index)."""
     attacker, a_mult = generate_instance(cfg, index)
+    defender, d_mult = _generate_defender(cfg, index)
+    return PipePair(attacker, defender), a_mult, d_mult
+
+
+def _generate_defender(cfg: GeneratorConfig,
+                       index: int) -> tuple[Pipeline, Multiplier]:
+    """The defender half of `generate_pair(cfg, index)`."""
     rng = _rng(cfg, index, "defender")
     defender = _random_pipeline(rng, cfg)
-    d_mult = _random_multiplier(rng, cfg, defender)
-    return PipePair(attacker, defender), a_mult, d_mult
+    return defender, _random_multiplier(rng, cfg, defender)
 
 
 def generate_fp_model(
@@ -208,9 +214,10 @@ def _check_ceiling(p: Pipeline, a: Multiplier,
     return failures
 
 
-def _check_adversarial(pair: PipePair, aA: Multiplier,
-                       aD: Multiplier) -> list[str]:
+def _check_adversarial(attacker: Pipeline, aA: Multiplier,
+                       defender: Pipeline, aD: Multiplier) -> list[str]:
     failures = []
+    pair = PipePair(attacker, defender)
     rep = ratio_report(pair, aA, aD)  # raises if the two sides disagree
     # independent recomputation of both sides of the equivalence
     ta, td = throughput(pair.attacker), throughput(pair.defender)
@@ -249,31 +256,40 @@ def _check_falsepos(model: FixedFractionModel,
     return failures
 
 
-def verify_instance(cfg: GeneratorConfig, index: int) -> dict[str, list[str]]:
-    """All checks for one instance; maps check name to its failures."""
-    p, a = generate_instance(cfg, index)
-    results: dict[str, list[str]] = {}
-
-    verdict = verify_characterizations(p, a)
-    results["characterizations"] = list(verdict.failures)
-
+def _check_monotonicity(p: Pipeline, a: Multiplier,
+                        dominating: Multiplier) -> list[str]:
     failures = []
-    dominating = generate_dominating(cfg, index, a)
     t_a = perturbed_throughput(p, a)
     if t_a > perturbed_throughput(p, dominating):
         failures.append("throughput not monotone under stagewise domination")
     if t_a < throughput(p):
         failures.append("throughput decreased under an admissible multiplier")
-    results["monotonicity"] = failures
+    return failures
 
-    results["ceiling"] = _check_ceiling(p, a, generate_authority(cfg, index, p))
 
-    pair, aA, aD = generate_pair(cfg, index)
-    results["adversarial"] = _check_adversarial(pair, aA, aD)
+def verify_instance(cfg: GeneratorConfig, index: int) -> dict[str, list[str]]:
+    """All checks for one instance; maps check name to its failures.
 
-    model, samples = generate_fp_model(cfg, index)
-    results["falsepos"] = _check_falsepos(model, samples)
-
+    An exception raised inside a check family is that family's failure,
+    recorded as "<ExcType>: <message>", and the other families still run.
+    """
+    p, a = generate_instance(cfg, index)
+    families = {
+        "characterizations": lambda: list(verify_characterizations(p, a).failures),
+        "monotonicity": lambda: _check_monotonicity(
+            p, a, generate_dominating(cfg, index, a)),
+        "ceiling": lambda: _check_ceiling(p, a, generate_authority(cfg, index, p)),
+        # generate_pair's attacker is (p, a): only the defender is drawn here
+        "adversarial": lambda: _check_adversarial(
+            p, a, *_generate_defender(cfg, index)),
+        "falsepos": lambda: _check_falsepos(*generate_fp_model(cfg, index)),
+    }
+    results: dict[str, list[str]] = {}
+    for name, run in families.items():
+        try:
+            results[name] = run()
+        except Exception as exc:  # a defect, kept with its (seed, index)
+            results[name] = [f"{type(exc).__name__}: {exc}"]
     return results
 
 

@@ -40,7 +40,11 @@ class AdmissibilityError(ValueError):
 
 def as_fraction(value: RationalInput) -> Fraction:
     """Convert an exact input (int, Fraction, or text like "3", "3.25",
-    "13/4") to a Fraction.  Floats are refused to keep arithmetic exact."""
+    "13/4") to a Fraction.  Floats are refused to keep arithmetic exact.
+
+    A Fraction is returned as is: it is immutable, so no copy is needed."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("booleans are not capacities")
     if isinstance(value, float):
@@ -119,6 +123,19 @@ class Pipeline:
         object.__setattr__(self, "stages", stage_tuple)
         object.__setattr__(self, "capacity", cap)
 
+    @classmethod
+    def _trusted(
+        cls, stages: tuple[str, ...], capacity: dict[str, Fraction]
+    ) -> "Pipeline":
+        """Build from parts that already satisfy every check of __init__:
+        unique nonempty text ids, and a positive Fraction for each of them
+        and no other key.  For derived pipelines only; input goes through
+        the validating constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "stages", stages)
+        object.__setattr__(p, "capacity", capacity)
+        return p
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pipeline):
             return NotImplemented
@@ -173,17 +190,19 @@ def check_admissible(p: Pipeline, a: Multiplier) -> None:
 
     Factor lower bounds are already enforced by the Multiplier constructor.
     """
+    # a valid pipeline's capacity domain is its stage set
+    if a.factor.keys() == p.capacity.keys():
+        return
     stage_set = set(p.stages)
     domain = set(a.factor)
-    if domain != stage_set:
-        missing = sorted(stage_set - domain)
-        extra = sorted(domain - stage_set)
-        parts = []
-        if missing:
-            parts.append(f"missing factors for stages {missing}")
-        if extra:
-            parts.append(f"factors for unknown stages {extra}")
-        raise AdmissibilityError("; ".join(parts))
+    missing = sorted(stage_set - domain)
+    extra = sorted(domain - stage_set)
+    parts = []
+    if missing:
+        parts.append(f"missing factors for stages {missing}")
+    if extra:
+        parts.append(f"factors for unknown stages {extra}")
+    raise AdmissibilityError("; ".join(parts))
 
 
 @dataclass(frozen=True)
@@ -224,10 +243,13 @@ def perturb(p: Pipeline, a: Multiplier) -> Pipeline:
     """Apply a stagewise: capacity of each stage becomes factor * capacity.
 
     The result is again a valid pipeline (positive capacities, same stage
-    order).
+    order): p's stage ids are already validated, and each factor >= 1 times
+    a capacity > 0 is a positive Fraction, so it is not validated again.
     """
     check_admissible(p, a)
-    return Pipeline(p.stages, {s: a.factor[s] * p.capacity[s] for s in p.stages})
+    return Pipeline._trusted(
+        p.stages, {s: a.factor[s] * p.capacity[s] for s in p.stages}
+    )
 
 
 def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:

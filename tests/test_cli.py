@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 import pipecalc.harness as harness
+from pipecalc.adversarial import InternalCheckError
 from pipecalc.characterize import CharacterizationVerdict
 from pipecalc.cli import main
 from test_documents import EXAMPLE_DOC
@@ -140,6 +142,31 @@ class TestFp:
         assert main(["fp", str(path)]) == 1
         assert f"{name} must be exact text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, message", [
+        ({"fixed_fraction": {"false_positive_fraction": "1/2"}},
+         "'fixed_fraction' is missing 'investigation_capacity'"),
+        ({"precision": {"family": "constant", "investigation_capacity": "1"}},
+         "'precision' is missing 'level'"),
+        ({"precision": {"family": "rational_decay", "coefficient": "1/10"}},
+         "'precision' is missing 'investigation_capacity'"),
+        ({"precision": {"family": "table", "investigation_capacity": "1"}},
+         "'precision' is missing 'points'"),
+        ({"fixed_fraction": "1/2"}, "'fixed_fraction' must be an object"),
+        ({"precision": ["constant"]}, "'precision' must be an object"),
+        (["samples"], "root must be an object"),
+        ({"samples": "123"}, "'samples' must be a list"),
+        ({"precision": {"family": "table", "investigation_capacity": "1",
+                        "points": [["1", "1", "1"]]}}, "points must be"),
+    ], ids=["missing-fixed-fraction-key", "missing-level",
+            "missing-precision-capacity", "missing-points",
+            "fixed-fraction-not-object", "precision-not-object",
+            "root-not-object", "samples-not-list", "points-not-pairs"])
+    def test_malformed_model_file(self, tmp_path, capsys, model, message):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(model))
+        assert main(["fp", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestPlan:
     def test_budget_one(self, doc_path, capsys):
@@ -176,6 +203,26 @@ class TestVerify:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_structured_report_is_unchanged(self, capsys):
+        # sha256 of this report as first recorded; any drift in a generator
+        # or a check family changes it
+        assert main(["verify", "--seed", "20260823", "--count", "500",
+                     "--format", "structured"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == (
+            "af849b1d90913402dc5d4538b22223bc84ecc65bbee2db7c0974f37ae5e9a719"
+        )
+
+    def test_raising_check_family_exits_2(self, capsys, monkeypatch):
+        def raising(pair, aA, aD):
+            raise InternalCheckError("sides disagree")
+
+        monkeypatch.setattr(harness, "ratio_report", raising)
+        assert main(["verify", "--seed", "5", "--count", "2"]) == 2
+        out = capsys.readouterr().out
+        assert ("[adversarial] seed=5 index=1: "
+                "InternalCheckError: sides disagree") in out
 
     def test_counterexample_exits_2(self, capsys, monkeypatch):
         def corrupted(p, a):

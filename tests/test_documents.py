@@ -74,6 +74,13 @@ class TestParse:
         (lambda d: d["scenarios"].__setitem__("bad", {"b": "1/2"}), "bad"),
         (lambda d: d["authority"].__setitem__("human_stages", ["ghost"]),
          "unknown stages"),
+        (lambda d: d["pipeline"]["stages"].__setitem__(
+            0, {"id": ["x"], "capacity": "3"}), "stage id"),
+        (lambda d: d.__setitem__("scenarios", [{"b": "2"}]), "scenarios"),
+        (lambda d: d["authority"].__setitem__("assist_bounds", ["2"]),
+         "assist_bounds"),
+        (lambda d: d["authority"].__setitem__("human_stages", "ab"),
+         "human_stages"),
     ])
     def test_schema_violations(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)

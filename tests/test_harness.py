@@ -9,7 +9,9 @@ from pipecalc import (
     structured_report,
     verify_all,
 )
+from pipecalc.adversarial import InternalCheckError
 from pipecalc.characterize import CharacterizationVerdict
+from pipecalc.harness import generate_pair, verify_instance
 from pipecalc.model import bottleneck_set
 
 
@@ -98,3 +100,32 @@ class TestVerifyAll:
         assert (ce.seed, ce.index) == (99, 0)
         # replay coordinates reproduce the instance exactly
         assert generate_instance(cfg, ce.index) == generate_instance(cfg, 0)
+
+    def test_raising_check_family_is_a_counterexample(self, monkeypatch):
+        def raising(pair, aA, aD):
+            raise InternalCheckError("sides disagree")
+
+        monkeypatch.setattr(harness, "ratio_report", raising)
+        verdict = verify_all(GeneratorConfig(seed=31, instance_count=3))
+        assert verdict.checks["falsepos"] == 3  # later families still ran
+        assert [(ce.check, ce.seed, ce.index, ce.message)
+                for ce in verdict.counterexamples] == [
+            ("adversarial", 31, i, "InternalCheckError: sides disagree")
+            for i in range(3)
+        ]
+
+
+def test_verify_instance_uses_the_generated_pair(monkeypatch):
+    cfg = GeneratorConfig(seed=20260823, instance_count=500)
+    seen = []
+    original = harness._check_adversarial
+
+    def recording(attacker, aA, defender, aD):
+        seen.append((attacker, aA, defender, aD))
+        return original(attacker, aA, defender, aD)
+
+    monkeypatch.setattr(harness, "_check_adversarial", recording)
+    for i in range(500):
+        verify_instance(cfg, i)
+        pair, aA, aD = generate_pair(cfg, i)
+        assert seen[-1] == (pair.attacker, aA, pair.defender, aD)

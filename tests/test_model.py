@@ -19,6 +19,7 @@ from pipecalc import (
     throughput,
     validate_pipeline,
 )
+from pipecalc.model import as_fraction, check_admissible
 
 
 def scan_min(values):
@@ -28,6 +29,41 @@ def scan_min(values):
         if v < best:
             best = v
     return best
+
+
+class TestAsFraction:
+    def test_fraction_returned_unchanged(self):
+        x = Fraction(13, 4)
+        assert as_fraction(x) is x
+
+    @pytest.mark.parametrize("value", [0.5, 3.0, True, False])
+    def test_floats_and_bools_refused(self, value):
+        with pytest.raises(TypeError):
+            as_fraction(value)
+
+    def test_fraction_subclass_converted(self):
+        class Tagged(Fraction):
+            pass
+
+        result = as_fraction(Tagged(13, 4))
+        assert type(result) is Fraction and result == Fraction(13, 4)
+
+
+class TestCheckAdmissible:
+    def test_matching_domain_accepted(self, example_pipeline):
+        check_admissible(example_pipeline, Multiplier.identity(example_pipeline))
+
+    @pytest.mark.parametrize("factors, message", [
+        ({"a": 1, "b": 1}, "missing factors for stages ['c']"),
+        ({"a": 1, "b": 1, "c": 1, "z": 2}, "factors for unknown stages ['z']"),
+        ({"a": 1, "z": 2, "y": 2},
+         "missing factors for stages ['b', 'c']; "
+         "factors for unknown stages ['y', 'z']"),
+    ], ids=["missing", "extra", "both"])
+    def test_messages(self, example_pipeline, factors, message):
+        with pytest.raises(AdmissibilityError) as info:
+            check_admissible(example_pipeline, Multiplier(factors))
+        assert str(info.value) == message
 
 
 class TestThroughput:
@@ -193,6 +229,14 @@ def test_perturb_closed(pm):
     q = perturb(p, a)
     assert q.stages == p.stages
     assert all(c > 0 for c in q.capacity.values())
+
+
+@given(pipeline_with_multiplier())
+def test_perturb_equals_validated_construction(pm):
+    p, a = pm
+    q = perturb(p, a)
+    assert q == Pipeline(p.stages, {s: a.factor[s] * p.capacity[s] for s in p.stages})
+    assert all(type(c) is Fraction and c > 0 for c in q.capacity.values())
 
 
 @given(pipeline_with_multiplier())
