@@ -75,7 +75,6 @@ from .model import (
     ValidationReport,
     bottleneck_report,
     bottleneck_set,
-    migration_occurred,
     perturb,
     perturbed_throughput,
     throughput,

@@ -16,6 +16,7 @@ from .model import (
     AdmissibilityError,
     Multiplier,
     Pipeline,
+    bottleneck_set,
     check_admissible,
     perturbed_throughput,
     throughput,
@@ -95,16 +96,6 @@ def defender_misses_bottleneck(
     _check_side(pair.attacker, aA, "attacker")
     _check_side(pair.defender, aD, "defender")
 
-    ta = throughput(pair.attacker)
-    td = throughput(pair.defender)
-    attacker_all = all(
-        aA.factor[s] > 1
-        for s in pair.attacker.stages
-        if pair.attacker.capacity[s] == ta
-    )
-    defender_some = any(
-        aD.factor[s] == 1
-        for s in pair.defender.stages
-        if pair.defender.capacity[s] == td
-    )
+    attacker_all = all(aA.factor[s] > 1 for s in bottleneck_set(pair.attacker))
+    defender_some = any(aD.factor[s] == 1 for s in bottleneck_set(pair.defender))
     return attacker_all and defender_some

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .model import (
@@ -62,6 +63,7 @@ class AuthoritySpec:
             low = sorted(s for s, b in bounds.items() if b < 1)
             if low:
                 raise ConfigurationError(f"assist bounds below 1: {low}")
+            bounds = MappingProxyType(bounds)
         object.__setattr__(self, "human_stages", stages)
         object.__setattr__(self, "assist_bound", bounds)
 

@@ -25,11 +25,11 @@ from typing import Optional
 from .model import (
     Multiplier,
     Pipeline,
+    bottleneck_report,
     bottleneck_set,
     check_admissible,
     perturb,
     perturbed_throughput,
-    throughput,
 )
 
 
@@ -86,10 +86,9 @@ class MigrationDecomposition:
 
 
 def classify(p: Pipeline, a: Multiplier) -> PerturbationClassification:
-    check_admissible(p, a)
-    base = throughput(p)
-    new = perturbed_throughput(p, a)
-    bottlenecks = [s for s in p.stages if p.capacity[s] == base]
+    rep = bottleneck_report(p)
+    base, bottlenecks = rep.throughput, rep.bottlenecks
+    new = perturbed_throughput(p, a)  # refuses an inadmissible multiplier
     unchanged_pred = any(a.factor[s] == 1 for s in bottlenecks)
     strict_pred = all(a.factor[s] > 1 for s in bottlenecks)
     outcome = Outcome.UNCHANGED if new == base else Outcome.STRICT_INCREASE
@@ -106,10 +105,15 @@ def classify(p: Pipeline, a: Multiplier) -> PerturbationClassification:
     )
 
 
+def _bottlenecks_before_after(
+    p: Pipeline, a: Multiplier
+) -> tuple[frozenset[str], frozenset[str]]:
+    # perturb refuses an inadmissible multiplier
+    return bottleneck_set(p), bottleneck_set(perturb(p, a))
+
+
 def preservation_report(p: Pipeline, a: Multiplier) -> PreservationReport:
-    check_admissible(p, a)
-    before = bottleneck_set(p)
-    after = bottleneck_set(perturb(p, a))
+    before, after = _bottlenecks_before_after(p, a)
     preserved = before == after
 
     factors = {a.factor[s] for s in before}
@@ -133,9 +137,7 @@ def preservation_report(p: Pipeline, a: Multiplier) -> PreservationReport:
 
 
 def migration_decomposition(p: Pipeline, a: Multiplier) -> MigrationDecomposition:
-    check_admissible(p, a)
-    before = bottleneck_set(p)
-    after = bottleneck_set(perturb(p, a))
+    before, after = _bottlenecks_before_after(p, a)
     departed = tuple(s for s in p.stages if s in before and s not in after)
     entered = tuple(s for s in p.stages if s in after and s not in before)
     return MigrationDecomposition(departed=departed, entered=entered)
@@ -153,8 +155,10 @@ class CharacterizationVerdict:
     detail: dict
 
 
-def _scan_min(values) -> Fraction:
-    # explicit linear scan, kept separate from throughput() on purpose
+def scan_min(values) -> Fraction:
+    """Smallest of `values` by an explicit linear scan: the brute-force
+    minimum that checks `throughput` and its relatives, so it shares no code
+    with them."""
     it = iter(values)
     best = next(it)
     for v in it:
@@ -166,8 +170,8 @@ def _scan_min(values) -> Fraction:
 def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerdict:
     check_admissible(p, a)
     caps = [p.capacity[s] for s in p.stages]
-    base = _scan_min(caps)
-    new = _scan_min([a.factor[s] * p.capacity[s] for s in p.stages])
+    base = scan_min(caps)
+    new = scan_min([a.factor[s] * p.capacity[s] for s in p.stages])
     before = frozenset(s for s in p.stages if p.capacity[s] == base)
     after = frozenset(
         s for s in p.stages if a.factor[s] * p.capacity[s] == new

@@ -42,7 +42,6 @@ from .falsepos import (
     TablePrecision,
     decline_check,
     plateau_check,
-    repaired_useful,
     simple_useful,
 )
 from .model import (
@@ -50,7 +49,6 @@ from .model import (
     PipelineValidationError,
     bottleneck_report,
     perturbed_throughput,
-    throughput,
 )
 from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_allocation
 
@@ -282,8 +280,8 @@ def _cmd_fp(args) -> int:
 
 def _cmd_plan(args) -> int:
     doc = load_document(args.file)
-    cost = CostModel.uniform(doc.pipeline, Fraction(args.budget),
-                             Fraction(args.unit_cost))
+    cost = CostModel.uniform(doc.pipeline, _exact(args.budget, "budget"),
+                             _exact(args.unit_cost, "unit cost"))
     payload: dict = {"budget": str(cost.budget)}
     lines = [f"budget: {cost.budget} (unit cost {args.unit_cost} per stage)"]
 

@@ -90,6 +90,8 @@ def parse_document(text: str) -> PipelineDocument:
     if not isinstance(pipe_raw, dict) or "stages" not in pipe_raw:
         raise DocumentError("missing pipeline.stages")
     name = pipe_raw.get("name", "")
+    if not isinstance(name, str):
+        raise DocumentError(f"pipeline.name {name!r} must be text")
     stage_records = pipe_raw["stages"]
     if not isinstance(stage_records, list):
         raise DocumentError("pipeline.stages must be a list of stage records")

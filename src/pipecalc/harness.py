@@ -29,7 +29,7 @@ from .ceiling import (
     is_h_admissible,
     tightness_witness,
 )
-from .characterize import verify_characterizations
+from .characterize import scan_min, verify_characterizations
 from .falsepos import (
     ConstantPrecision,
     FixedFractionModel,
@@ -37,16 +37,11 @@ from .falsepos import (
     decline_check,
     plateau_check,
 )
-from .model import (
-    Multiplier,
-    Pipeline,
-    perturbed_throughput,
-    throughput,
-)
+from .model import Multiplier, Pipeline, perturbed_throughput
 
-DEFAULT_CAPACITY_GRID = tuple(Fraction(i) for i in range(1, 11))
+CAPACITY_GRID = tuple(Fraction(i) for i in range(1, 11))
 # factor 1 listed twice: ties kept at factor 1 are the interesting case
-DEFAULT_FACTOR_GRID = (
+FACTOR_GRID = (
     Fraction(1),
     Fraction(1),
     Fraction(3, 2),
@@ -60,24 +55,12 @@ class GeneratorConfig:
     seed: int = 0
     instance_count: int = 10_000
     max_stages: int = 8
-    capacity_grid: tuple[Fraction, ...] = DEFAULT_CAPACITY_GRID
-    factor_grid: tuple[Fraction, ...] = DEFAULT_FACTOR_GRID
 
     def __post_init__(self):
         if self.instance_count < 0:
             raise ValueError("instance_count must be >= 0")
         if self.max_stages < 1:
             raise ValueError("max_stages must be >= 1")
-        if not self.capacity_grid or not self.factor_grid:
-            raise ValueError("grids must be nonempty")
-        if any(c <= 0 for c in self.capacity_grid):
-            raise ValueError("capacity grid values must be > 0")
-        if Fraction(1) not in self.factor_grid:
-            raise ValueError(
-                "factor grid must contain 1 so invariance cases are generated"
-            )
-        if any(f < 1 for f in self.factor_grid):
-            raise ValueError("factor grid values must be >= 1")
 
 
 def _rng(cfg: GeneratorConfig, index: int, label: str = "") -> random.Random:
@@ -87,19 +70,18 @@ def _rng(cfg: GeneratorConfig, index: int, label: str = "") -> random.Random:
 def _random_pipeline(rng: random.Random, cfg: GeneratorConfig) -> Pipeline:
     n = rng.randint(1, cfg.max_stages)
     stages = tuple(f"s{i + 1}" for i in range(n))
-    return Pipeline(stages, {s: rng.choice(cfg.capacity_grid) for s in stages})
+    return Pipeline(stages, {s: rng.choice(CAPACITY_GRID) for s in stages})
 
 
-def _random_multiplier(rng: random.Random, cfg: GeneratorConfig,
-                       p: Pipeline) -> Multiplier:
-    return Multiplier({s: rng.choice(cfg.factor_grid) for s in p.stages})
+def _random_multiplier(rng: random.Random, p: Pipeline) -> Multiplier:
+    return Multiplier({s: rng.choice(FACTOR_GRID) for s in p.stages})
 
 
 def generate_instance(cfg: GeneratorConfig, index: int) -> tuple[Pipeline, Multiplier]:
     """Deterministic instance number `index` under `cfg`."""
     rng = _rng(cfg, index)
     p = _random_pipeline(rng, cfg)
-    return p, _random_multiplier(rng, cfg, p)
+    return p, _random_multiplier(rng, p)
 
 
 def generate_dominating(cfg: GeneratorConfig, index: int,
@@ -108,7 +90,7 @@ def generate_dominating(cfg: GeneratorConfig, index: int,
     further grid draw)."""
     rng = _rng(cfg, index, "dominate")
     return Multiplier(
-        {s: f * rng.choice(cfg.factor_grid) for s, f in a.factor.items()}
+        {s: f * rng.choice(FACTOR_GRID) for s, f in a.factor.items()}
     )
 
 
@@ -118,14 +100,6 @@ def generate_authority(cfg: GeneratorConfig, index: int,
     rng = _rng(cfg, index, "authority")
     k = rng.randint(1, len(p.stages))
     return AuthoritySpec(rng.sample(list(p.stages), k))
-
-
-def pin_to_authority(a: Multiplier, h: AuthoritySpec) -> Multiplier:
-    """Force factor 1 on the pinned stages, leaving the rest of `a` alone."""
-    return Multiplier(
-        {s: Fraction(1) if s in h.human_stages else f
-         for s, f in a.factor.items()}
-    )
 
 
 def generate_pair(
@@ -143,7 +117,7 @@ def _generate_defender(cfg: GeneratorConfig,
     """The defender half of `generate_pair(cfg, index)`."""
     rng = _rng(cfg, index, "defender")
     defender = _random_pipeline(rng, cfg)
-    return defender, _random_multiplier(rng, cfg, defender)
+    return defender, _random_multiplier(rng, defender)
 
 
 def generate_fp_model(
@@ -152,7 +126,7 @@ def generate_fp_model(
     """Random fixed-fraction model plus sample rates above its capacity."""
     rng = _rng(cfg, index, "falsepos")
     model = FixedFractionModel(
-        Fraction(rng.randint(0, 9), 10), rng.choice(cfg.capacity_grid)
+        Fraction(rng.randint(0, 9), 10), rng.choice(CAPACITY_GRID)
     )
     c_inv = model.investigation_capacity
     samples = sorted(
@@ -182,17 +156,22 @@ class HarnessVerdict:
         return not self.counterexamples
 
 
-def _check_ceiling(p: Pipeline, a: Multiplier,
-                   h: AuthoritySpec) -> list[str]:
+def check_ceiling(p: Pipeline, a: Multiplier,
+                  h: AuthoritySpec) -> list[str]:
+    """Authority ceiling: `a` with the stages of `h` pinned to factor 1
+    stays at or below `ceiling(p, h)`, and the tightness witness attains it."""
     failures = []
-    pinned = pin_to_authority(a, h)
+    pinned = Multiplier(
+        {s: Fraction(1) if s in h.human_stages else f
+         for s, f in a.factor.items()}
+    )
     if not is_h_admissible(pinned, h):
         failures.append("pinned multiplier not recognised as authority-admissible")
     cap = ceiling(p, h)
-    if perturbed_throughput(p, pinned) > cap:
+    pinned_throughput = perturbed_throughput(p, pinned)
+    if pinned_throughput > cap:
         failures.append(
-            f"pinned throughput {perturbed_throughput(p, pinned)} exceeds "
-            f"ceiling {cap}"
+            f"pinned throughput {pinned_throughput} exceeds ceiling {cap}"
         )
     witness = tightness_witness(p, h)
     if not is_h_admissible(witness, h):
@@ -214,18 +193,22 @@ def _check_ceiling(p: Pipeline, a: Multiplier,
     return failures
 
 
-def _check_adversarial(attacker: Pipeline, aA: Multiplier,
-                       defender: Pipeline, aD: Multiplier) -> list[str]:
+def check_adversarial(attacker: Pipeline, aA: Multiplier,
+                      defender: Pipeline, aD: Multiplier) -> list[str]:
+    """Attacker/defender ratios: `ratio_report` against the ratios and gains
+    recomputed from raw capacities, and the missed-bottleneck corollary."""
     failures = []
     pair = PipePair(attacker, defender)
-    rep = ratio_report(pair, aA, aD)  # raises if the two sides disagree
-    # independent recomputation of both sides of the equivalence
-    ta, td = throughput(pair.attacker), throughput(pair.defender)
-    ta_new = perturbed_throughput(pair.attacker, aA)
-    td_new = perturbed_throughput(pair.defender, aD)
-    lhs = (ta_new / td_new) > (ta / td)  # ratio side
-    rhs = (ta_new / ta) > (td_new / td)  # gain side
-    if rep.favours_attacker != lhs or lhs != rhs:
+    rep = ratio_report(pair, aA, aD)  # raises if its two sides disagree
+    ta = scan_min(attacker.capacity.values())
+    td = scan_min(defender.capacity.values())
+    ta_new = scan_min([aA.factor[s] * c for s, c in attacker.capacity.items()])
+    td_new = scan_min([aD.factor[s] * c for s, c in defender.capacity.items()])
+    by_ratio = ta_new / td_new > ta / td
+    recomputed = (ta / td, ta_new / td_new, ta_new / ta, td_new / td, by_ratio)
+    reported = (rep.baseline_ratio, rep.perturbed_ratio, rep.attacker_gain,
+                rep.defender_gain, rep.favours_attacker)
+    if reported != recomputed or by_ratio != (ta_new / ta > td_new / td):
         failures.append("ratio/gain equivalence violated on recomputation")
     if rep.baseline_ratio <= 0 or rep.perturbed_ratio <= 0:
         failures.append("ratios must be strictly positive")
@@ -237,8 +220,10 @@ def _check_adversarial(attacker: Pipeline, aA: Multiplier,
     return failures
 
 
-def _check_falsepos(model: FixedFractionModel,
-                    samples: list[Fraction]) -> list[str]:
+def check_falsepos(model: FixedFractionModel,
+                   samples: list[Fraction]) -> list[str]:
+    """Plateau of the fixed-fraction model on `samples`, decline under
+    rational-decay precision, and no decline under constant precision."""
     failures = []
     if not plateau_check(model, samples).passed:
         failures.append("fixed-fraction plateau violated")
@@ -256,15 +241,13 @@ def _check_falsepos(model: FixedFractionModel,
     return failures
 
 
-def _check_monotonicity(p: Pipeline, a: Multiplier,
-                        dominating: Multiplier) -> list[str]:
-    failures = []
-    t_a = perturbed_throughput(p, a)
-    if t_a > perturbed_throughput(p, dominating):
-        failures.append("throughput not monotone under stagewise domination")
-    if t_a < throughput(p):
-        failures.append("throughput decreased under an admissible multiplier")
-    return failures
+def check_monotonicity(p: Pipeline, a: Multiplier,
+                       dominating: Multiplier) -> list[str]:
+    """Throughput under `dominating` is at least that under `a`.
+    Non-decrease against `p` itself is `verify_characterizations`' check."""
+    if perturbed_throughput(p, a) > perturbed_throughput(p, dominating):
+        return ["throughput not monotone under stagewise domination"]
+    return []
 
 
 def verify_instance(cfg: GeneratorConfig, index: int) -> dict[str, list[str]]:
@@ -276,13 +259,13 @@ def verify_instance(cfg: GeneratorConfig, index: int) -> dict[str, list[str]]:
     p, a = generate_instance(cfg, index)
     families = {
         "characterizations": lambda: list(verify_characterizations(p, a).failures),
-        "monotonicity": lambda: _check_monotonicity(
+        "monotonicity": lambda: check_monotonicity(
             p, a, generate_dominating(cfg, index, a)),
-        "ceiling": lambda: _check_ceiling(p, a, generate_authority(cfg, index, p)),
+        "ceiling": lambda: check_ceiling(p, a, generate_authority(cfg, index, p)),
         # generate_pair's attacker is (p, a): only the defender is drawn here
-        "adversarial": lambda: _check_adversarial(
+        "adversarial": lambda: check_adversarial(
             p, a, *_generate_defender(cfg, index)),
-        "falsepos": lambda: _check_falsepos(*generate_fp_model(cfg, index)),
+        "falsepos": lambda: check_falsepos(*generate_fp_model(cfg, index)),
     }
     results: dict[str, list[str]] = {}
     for name, run in families.items():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalInput = Union[Fraction, int, str]
@@ -121,7 +122,7 @@ class Pipeline:
         if violations:
             raise PipelineValidationError(ValidationReport(tuple(violations)))
         object.__setattr__(self, "stages", stage_tuple)
-        object.__setattr__(self, "capacity", cap)
+        object.__setattr__(self, "capacity", MappingProxyType(cap))
 
     @classmethod
     def _trusted(
@@ -133,7 +134,7 @@ class Pipeline:
         the validating constructor."""
         p = object.__new__(cls)
         object.__setattr__(p, "stages", stages)
-        object.__setattr__(p, "capacity", capacity)
+        object.__setattr__(p, "capacity", MappingProxyType(capacity))
         return p
 
     def __eq__(self, other) -> bool:
@@ -170,7 +171,7 @@ class Multiplier:
             raise AdmissibilityError(
                 f"factors below 1 are inadmissible: {sorted(bad)}"
             )
-        object.__setattr__(self, "factor", f)
+        object.__setattr__(self, "factor", MappingProxyType(f))
 
     @classmethod
     def identity(cls, p: Pipeline) -> "Multiplier":
@@ -257,8 +258,3 @@ def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:
     min over stages of factor * capacity."""
     check_admissible(p, a)
     return min(a.factor[s] * p.capacity[s] for s in p.stages)
-
-
-def migration_occurred(p: Pipeline, a: Multiplier) -> bool:
-    """True iff perturbation changes the bottleneck set (as a set)."""
-    return bottleneck_set(perturb(p, a)) != bottleneck_set(p)

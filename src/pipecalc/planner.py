@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .model import (
@@ -58,7 +59,7 @@ class CostModel:
         b = as_fraction(budget)
         if b < 0:
             raise CostModelError(f"budget {b} must be >= 0")
-        object.__setattr__(self, "unit_cost", costs)
+        object.__setattr__(self, "unit_cost", MappingProxyType(costs))
         object.__setattr__(self, "budget", b)
 
     @classmethod

@@ -5,6 +5,7 @@ lines.  Every comparison is exact rational equality.
 """
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -15,41 +16,35 @@ from pipecalc import (
     CostModel,
     FixedFractionModel,
     GeneratorConfig,
-    Multiplier,
     Pipeline,
     RationalDecayPrecision,
     TablePrecision,
     bottleneck_report,
     bottleneck_set,
-    ceiling,
     decline_check,
     defender_misses_bottleneck,
     document_for_pipeline,
     generate_instance,
-    is_h_admissible,
     maxmin_allocation,
     migration_decomposition,
-    migration_occurred,
     parse_document,
     perturb,
     perturbed_throughput,
-    plateau_check,
     preservation_report,
-    ratio_report,
     repaired_useful,
     serialize_document,
     simple_useful,
     structured_report,
     throughput,
-    tightness_witness,
     verify_all,
 )
 from pipecalc.harness import (
+    check_adversarial,
+    check_ceiling,
+    check_monotonicity,
     generate_authority,
     generate_dominating,
     generate_pair,
-    pin_to_authority,
-    _rng,
 )
 from test_documents import EXAMPLE_DOC
 
@@ -109,10 +104,8 @@ def test_criterion_3_strict_increase_iff_all_improved(instances):
 def test_criterion_4_monotonicity_and_non_decrease(instances):
     violations = 0
     for i, (p, a) in enumerate(instances):
-        dom = generate_dominating(CFG, i, a)
-        t_a = perturbed_throughput(p, a)
-        violations += t_a > perturbed_throughput(p, dom)
-        violations += t_a < throughput(p)
+        violations += len(check_monotonicity(p, a, generate_dominating(CFG, i, a)))
+        violations += perturbed_throughput(p, a) < throughput(p)
     report(4, violations == 0, f"{len(instances)} dominating pairs, "
                                f"{violations} violations")
 
@@ -123,17 +116,7 @@ def test_criterion_5_ceiling_and_tightness(instances):
     for i, (p, a) in enumerate(instances[:2000]):
         h = generate_authority(CFG, i, p)
         degenerate += h.human_stages == set(p.stages)
-        pinned = pin_to_authority(a, h)
-        cap = ceiling(p, h)
-        if not is_h_admissible(pinned, h):
-            violations += 1
-        if perturbed_throughput(p, pinned) > cap:
-            violations += 1
-        witness = tightness_witness(p, h)
-        if not is_h_admissible(witness, h):
-            violations += 1
-        if perturbed_throughput(p, witness) != cap:
-            violations += 1
+        violations += len(check_ceiling(p, a, h))
     ok = violations == 0 and degenerate > 0
     report(5, ok, f"2000 instances, {violations} violations, "
                   f"{degenerate} all-pinned cases")
@@ -146,8 +129,7 @@ def test_criterion_6_preservation_and_migration(instances):
         preserved = bottleneck_set(perturb(p, a)) == bottleneck_set(p)
         violations += rep.preserved != (rep.condition_i and rep.condition_ii)
         violations += rep.preserved != preserved
-        decomp = migration_decomposition(p, a)
-        violations += decomp.empty != (not migration_occurred(p, a))
+        violations += migration_decomposition(p, a).empty != preserved
     report(6, violations == 0,
            f"{len(instances)} instances, {violations} violations")
 
@@ -156,13 +138,8 @@ def test_criterion_7_adversarial_equivalence():
     violations = corollary_cases = 0
     for i in range(2000):
         pair, aA, aD = generate_pair(CFG, i)
-        rep = ratio_report(pair, aA, aD)
-        lhs = rep.perturbed_ratio > rep.baseline_ratio
-        rhs = rep.attacker_gain > rep.defender_gain
-        violations += not (lhs == rhs == rep.favours_attacker)
-        if defender_misses_bottleneck(pair, aA, aD):
-            corollary_cases += 1
-            violations += not rep.favours_attacker
+        violations += len(check_adversarial(pair.attacker, aA, pair.defender, aD))
+        corollary_cases += defender_misses_bottleneck(pair, aA, aD)
     ok = violations == 0 and corollary_cases > 0
     report(7, ok, f"2000 pairs, {violations} violations, "
                   f"{corollary_cases} corollary cases")
@@ -171,7 +148,7 @@ def test_criterion_7_adversarial_equivalence():
 def test_criterion_8_plateau():
     violations = 0
     for i in range(100):
-        rng = _rng(CFG, i, "acceptance-plateau")
+        rng = random.Random(f"{CFG.seed}:{i}:acceptance-plateau")
         model = FixedFractionModel(
             Fraction(rng.randint(0, 99), 100),
             Fraction(rng.randint(1, 1000), rng.randint(1, 10)),
@@ -192,7 +169,7 @@ def test_criterion_9_decline():
         [(10, 1), (20, Fraction(1, 2)), (40, Fraction(1, 4)),
          (100, Fraction(1, 8))]
     )
-    rng = _rng(CFG, 0, "acceptance-decline")
+    rng = random.Random(f"{CFG.seed}:0:acceptance-decline")
     c_inv = Fraction(10)
     for _ in range(200):
         samples = sorted({

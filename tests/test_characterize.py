@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 
 from conftest import pipeline_with_multiplier, pipelines
@@ -84,6 +83,12 @@ class TestMigrationDecomposition:
         )
         assert d.empty
 
+    def test_stays(self, example_pipeline):
+        d = migration_decomposition(
+            example_pipeline, Multiplier({"a": 1, "b": 2, "c": 1})
+        )
+        assert d.empty
+
     def test_departure_without_entry(self):
         p = Pipeline(("u", "v", "w"), {"u": 2, "v": 2, "w": 5})
         d = migration_decomposition(p, Multiplier({"u": 1, "v": 3, "w": 1}))
@@ -105,7 +110,7 @@ class TestVerifyCharacterizations:
     def test_counterexample_carries_detail(self, example_pipeline, monkeypatch):
         import pipecalc.characterize as ch
 
-        monkeypatch.setattr(ch, "_scan_min", lambda vals: max(vals))
+        monkeypatch.setattr(ch, "scan_min", lambda vals: max(vals))
         v = verify_characterizations(
             example_pipeline, Multiplier({"a": 1, "b": 1, "c": 1})
         )

@@ -190,6 +190,17 @@ class TestPlan:
             "plan", doc_path, "--budget", "1", "--tolerance", "1/1024",
         ]) == 1
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--budget", "1/0", "budget"),
+        ("--budget", "abc", "budget"),
+        ("--unit-cost", "1/0", "unit cost"),
+        ("--unit-cost", "abc", "unit cost"),
+    ])
+    def test_inexact_number_refused(self, doc_path, capsys, flag, value, name):
+        argv = ["plan", doc_path, "--budget", "1", flag, value]
+        assert main(argv) == 1
+        assert f"{name} is not an exact rational" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run(self, capsys):

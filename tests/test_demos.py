@@ -1,5 +1,8 @@
-"""Every demo script runs standalone against the in-tree package."""
+"""Every demo script runs standalone against the in-tree package, and every
+name the benchmark's tracer wraps still exists."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -17,3 +20,19 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_names_resolve(monkeypatch):
+    # the benchmark's tracer rebinds these names by lookup, so a rename or a
+    # deletion must fail here and not only in a traced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [f"{m}.{f}" for m, funcs in tracer.SPANNED.items() for f in funcs]
+    for name in names + list(tracer.COUNTED):
+        module, attr, *method = name.split(".")
+        value = getattr(importlib.import_module(f"pipecalc.{module}"), attr)
+        assert callable(value), name
+        assert all(f"__{m}__" in vars(value) for m in method), name

@@ -81,6 +81,7 @@ class TestParse:
          "assist_bounds"),
         (lambda d: d["authority"].__setitem__("human_stages", "ab"),
          "human_stages"),
+        (lambda d: d["pipeline"].__setitem__("name", ["x"]), "pipeline.name"),
     ])
     def test_schema_violations(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)

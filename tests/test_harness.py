@@ -1,17 +1,21 @@
 from fractions import Fraction
 
-import pytest
-
 import pipecalc.harness as harness
 from pipecalc import (
     GeneratorConfig,
+    PipePair,
     generate_instance,
     structured_report,
     verify_all,
 )
 from pipecalc.adversarial import InternalCheckError
 from pipecalc.characterize import CharacterizationVerdict
-from pipecalc.harness import generate_pair, verify_instance
+from pipecalc.harness import (
+    CAPACITY_GRID,
+    FACTOR_GRID,
+    generate_pair,
+    verify_instance,
+)
 from pipecalc.model import bottleneck_set
 
 
@@ -19,16 +23,7 @@ class TestGeneratorConfig:
     def test_defaults(self):
         cfg = GeneratorConfig()
         assert cfg.max_stages == 8
-        assert Fraction(1) in cfg.factor_grid
-        assert cfg.factor_grid.count(Fraction(1)) == 2
-
-    def test_factor_grid_must_contain_one(self):
-        with pytest.raises(ValueError, match="contain 1"):
-            GeneratorConfig(factor_grid=(Fraction(2),))
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(capacity_grid=())
+        assert FACTOR_GRID.count(Fraction(1)) == 2
 
 
 class TestGenerateInstance:
@@ -47,8 +42,8 @@ class TestGenerateInstance:
         for i in range(50):
             p, a = generate_instance(cfg, i)
             assert 1 <= len(p.stages) <= 3
-            assert all(c in cfg.capacity_grid for c in p.capacity.values())
-            assert all(f in cfg.factor_grid for f in a.factor.values())
+            assert all(c in CAPACITY_GRID for c in p.capacity.values())
+            assert all(f in FACTOR_GRID for f in a.factor.values())
 
     def test_tie_and_invariance_coverage(self):
         # small grids must produce frequent ties and kept-at-1 bottlenecks
@@ -114,17 +109,37 @@ class TestVerifyAll:
             for i in range(3)
         ]
 
+    def test_swapped_ratio_report_is_caught(self, monkeypatch):
+        # swapping attacker and defender keeps the report self-consistent, so
+        # ratio_report's own cross-check passes it; the recomputation from raw
+        # capacities must flag every instance whose report the swap changes
+        real = harness.ratio_report
+
+        def swapped(pair, aA, aD):
+            return real(PipePair(pair.defender, pair.attacker), aD, aA)
+
+        cfg = GeneratorConfig(seed=47, instance_count=40)
+        changed = {i for i in range(40)
+                   if swapped(*generate_pair(cfg, i)) != real(*generate_pair(cfg, i))}
+        monkeypatch.setattr(harness, "ratio_report", swapped)
+        verdict = verify_all(cfg)
+        assert changed
+        assert {(ce.check, ce.seed) for ce in verdict.counterexamples} == {
+            ("adversarial", 47)
+        }
+        assert {ce.index for ce in verdict.counterexamples} == changed
+
 
 def test_verify_instance_uses_the_generated_pair(monkeypatch):
     cfg = GeneratorConfig(seed=20260823, instance_count=500)
     seen = []
-    original = harness._check_adversarial
+    original = harness.check_adversarial
 
     def recording(attacker, aA, defender, aD):
         seen.append((attacker, aA, defender, aD))
         return original(attacker, aA, defender, aD)
 
-    monkeypatch.setattr(harness, "_check_adversarial", recording)
+    monkeypatch.setattr(harness, "check_adversarial", recording)
     for i in range(500):
         verify_instance(cfg, i)
         pair, aA, aD = generate_pair(cfg, i)

@@ -7,28 +7,21 @@ from hypothesis import strategies as st
 from conftest import fractions, pipeline_with_multiplier, pipelines
 from pipecalc import (
     AdmissibilityError,
+    AuthoritySpec,
+    CostModel,
     Multiplier,
     Pipeline,
     PipelineValidationError,
     ValidationReport,
     bottleneck_report,
     bottleneck_set,
-    migration_occurred,
     perturb,
     perturbed_throughput,
     throughput,
     validate_pipeline,
 )
+from pipecalc.characterize import scan_min
 from pipecalc.model import as_fraction, check_admissible
-
-
-def scan_min(values):
-    # independent oracle: plain linear scan
-    best = values[0]
-    for v in values[1:]:
-        if v < best:
-            best = v
-    return best
 
 
 class TestAsFraction:
@@ -154,23 +147,6 @@ class TestPerturbedThroughput:
         assert perturbed_throughput(example_pipeline, a) == 3
 
 
-class TestMigrationOccurred:
-    def test_moves(self, example_pipeline):
-        assert migration_occurred(
-            example_pipeline, Multiplier({"a": 1, "b": 5, "c": 1})
-        )
-
-    def test_identity(self, example_pipeline):
-        assert not migration_occurred(
-            example_pipeline, Multiplier.identity(example_pipeline)
-        )
-
-    def test_stays(self, example_pipeline):
-        assert not migration_occurred(
-            example_pipeline, Multiplier({"a": 1, "b": 2, "c": 1})
-        )
-
-
 class TestValidatePipeline:
     def test_empty_stage_set(self):
         rep = validate_pipeline((), {})
@@ -209,6 +185,19 @@ class TestValidatePipeline:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Pipeline(("a",), {"a": 0.1})
+
+
+@pytest.mark.parametrize("mapping", [
+    lambda p: p.capacity,
+    lambda p: perturb(p, Multiplier.identity(p)).capacity,
+    lambda p: Multiplier.identity(p).factor,
+    lambda p: CostModel.uniform(p, 1).unit_cost,
+    lambda p: AuthoritySpec({"a"}, {"a": 2}).assist_bound,
+], ids=["Pipeline", "perturbed-Pipeline", "Multiplier", "CostModel",
+        "AuthoritySpec"])
+def test_mappings_are_read_only(example_pipeline, mapping):
+    with pytest.raises(TypeError):
+        mapping(example_pipeline)["a"] = 5
 
 
 # -- properties --------------------------------------------------------------
