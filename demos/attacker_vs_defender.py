@@ -7,7 +7,6 @@ exactly when the attacker's gain is larger.
 
 from pipecalc import (
     Multiplier,
-    PipePair,
     Pipeline,
     defender_misses_bottleneck,
     ratio_report,
@@ -19,21 +18,21 @@ attacker = Pipeline(
 defender = Pipeline(
     ("detect", "triage", "respond"), {"detect": 40, "triage": 5, "respond": 12}
 )
-pair = PipePair(attacker, defender)
 
 # the attacker doubles its bottleneck; the defender buys a faster detector
 atk = Multiplier({"recon": 1, "exploit": 2, "exfil": 1})
 dfn = Multiplier({"detect": 4, "triage": 1, "respond": 1})
 
-rep = ratio_report(pair, atk, dfn)
+rep = ratio_report(attacker, atk, defender, dfn)
 print(f"baseline ratio {rep.baseline_ratio}, perturbed {rep.perturbed_ratio}")
 print(f"attacker gain {rep.attacker_gain}, defender gain {rep.defender_gain}")
 print("favours attacker:", rep.favours_attacker)
-print("defender missed its bottleneck:", defender_misses_bottleneck(pair, atk, dfn))
+print("defender missed its bottleneck:",
+      defender_misses_bottleneck(attacker, atk, defender, dfn))
 
 # same spend aimed at the defender's actual bottleneck
 dfn_smart = Multiplier({"detect": 1, "triage": 4, "respond": 1})
-rep = ratio_report(pair, atk, dfn_smart)
+rep = ratio_report(attacker, atk, defender, dfn_smart)
 print("\nafter redirecting spend to triage:")
 print(f"attacker gain {rep.attacker_gain}, defender gain {rep.defender_gain}")
 print("favours attacker:", rep.favours_attacker)

@@ -11,7 +11,6 @@ recomputation on seeded random instances.
 
 from .adversarial import (
     InternalCheckError,
-    PipePair,
     RatioReport,
     defender_misses_bottleneck,
     ratio_report,

@@ -28,15 +28,6 @@ class InternalCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PipePair:
-    """Independent attacker and defender pipelines.  Their stage sets are
-    unrelated; no coupling between the two is modelled."""
-
-    attacker: Pipeline
-    defender: Pipeline
-
-
-@dataclass(frozen=True)
 class RatioReport:
     """Baseline and perturbed attacker/defender ratios plus per-side
     relative gains.  All four quantities are exact and strictly positive."""
@@ -55,14 +46,18 @@ def _check_side(p: Pipeline, a: Multiplier, side: str) -> None:
         raise AdmissibilityError(f"{side} multiplier: {exc}") from None
 
 
-def ratio_report(pair: PipePair, aA: Multiplier, aD: Multiplier) -> RatioReport:
-    _check_side(pair.attacker, aA, "attacker")
-    _check_side(pair.defender, aD, "defender")
+def ratio_report(attacker: Pipeline, aA: Multiplier,
+                 defender: Pipeline, aD: Multiplier) -> RatioReport:
+    """Ratios and gains of `attacker` under `aA` against `defender` under
+    `aD`.  The two pipelines are independent: their stage sets are
+    unrelated and no coupling between them is modelled."""
+    _check_side(attacker, aA, "attacker")
+    _check_side(defender, aD, "defender")
 
-    ta = throughput(pair.attacker)
-    td = throughput(pair.defender)
-    ta_new = perturbed_throughput(pair.attacker, aA)
-    td_new = perturbed_throughput(pair.defender, aD)
+    ta = throughput(attacker)
+    td = throughput(defender)
+    ta_new = perturbed_throughput(attacker, aA)
+    td_new = perturbed_throughput(defender, aD)
 
     baseline = ta / td
     perturbed = ta_new / td_new
@@ -87,15 +82,14 @@ def ratio_report(pair: PipePair, aA: Multiplier, aD: Multiplier) -> RatioReport:
     )
 
 
-def defender_misses_bottleneck(
-    pair: PipePair, aA: Multiplier, aD: Multiplier
-) -> bool:
+def defender_misses_bottleneck(attacker: Pipeline, aA: Multiplier,
+                               defender: Pipeline, aD: Multiplier) -> bool:
     """True iff the attacker improves every one of its bottlenecks while the
     defender leaves some bottleneck of its own at factor 1.  In that case
     the ratio necessarily moves in the attacker's favour."""
-    _check_side(pair.attacker, aA, "attacker")
-    _check_side(pair.defender, aD, "defender")
+    _check_side(attacker, aA, "attacker")
+    _check_side(defender, aD, "defender")
 
-    attacker_all = all(aA.factor[s] > 1 for s in bottleneck_set(pair.attacker))
-    defender_some = any(aD.factor[s] == 1 for s in bottleneck_set(pair.defender))
+    attacker_all = all(aA.factor[s] > 1 for s in bottleneck_set(attacker))
+    defender_some = any(aD.factor[s] == 1 for s in bottleneck_set(defender))
     return attacker_all and defender_some

@@ -19,13 +19,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .model import (
-    Multiplier,
-    Pipeline,
-    RationalInput,
-    as_fraction,
-    check_admissible,
-)
+from .model import Multiplier, Pipeline, RationalInput, as_fraction
 
 
 class UndefinedCeilingError(ValueError):
@@ -105,11 +99,9 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
     cap_h = ceiling(p, h)
     machine_min = min(p.capacity[s] for s in machine)
     n = math.ceil(cap_h / machine_min) + 1
-    witness = Multiplier({
+    return Multiplier({
         s: Fraction(1) if s in h.human_stages else Fraction(n) for s in p.stages
     })
-    check_admissible(p, witness)
-    return witness
 
 
 def generalized_ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:

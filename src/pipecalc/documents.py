@@ -32,6 +32,7 @@ from .model import (
     Multiplier,
     Pipeline,
     ValidationReport,
+    as_fraction,
     validate_pipeline,
 )
 
@@ -44,7 +45,6 @@ class DocumentError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineDocument:
-    format_version: str
     name: str
     pipeline: Pipeline
     authority: Optional[AuthoritySpec]
@@ -62,20 +62,20 @@ class PipelineDocument:
 
 
 def _exact(text, what: str) -> Fraction:
-    if isinstance(text, bool) or isinstance(text, float):
-        raise DocumentError(
-            f"{what} must be exact text or an integer, got {text!r}"
-        )
     try:
-        return Fraction(text)
+        return as_fraction(text)  # refuses bools and floats too
     except (ValueError, ZeroDivisionError, TypeError) as exc:
+        if isinstance(text, (bool, float)):
+            raise DocumentError(
+                f"{what} must be exact text or an integer, got {text!r}"
+            ) from None
         raise DocumentError(f"{what} is not an exact rational: {exc}") from None
 
 
 def parse_document(text: str) -> PipelineDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an over-long integer
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DocumentError("document root must be an object")
@@ -160,7 +160,6 @@ def parse_document(text: str) -> PipelineDocument:
             raise DocumentError(f"scenario {scen_name!r}: {exc}") from None
 
     return PipelineDocument(
-        format_version=version,
         name=name,
         pipeline=pipeline,
         authority=authority,
@@ -170,7 +169,7 @@ def parse_document(text: str) -> PipelineDocument:
 
 def document_dict(doc: PipelineDocument) -> dict:
     out: dict = {
-        "format_version": doc.format_version,
+        "format_version": FORMAT_VERSION,
         "pipeline": {
             "name": doc.name,
             "stages": [
@@ -202,7 +201,6 @@ def serialize_document(doc: PipelineDocument) -> str:
 
 def document_for_pipeline(pipeline: Pipeline, name: str = "") -> PipelineDocument:
     return PipelineDocument(
-        format_version=FORMAT_VERSION,
         name=name,
         pipeline=pipeline,
         authority=None,

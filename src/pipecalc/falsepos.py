@@ -263,26 +263,21 @@ def decline_check(
             f"samples must exceed the investigation capacity; got {low[:3]}"
         )
 
-    if isinstance(p, ConstantPrecision):
-        values = tuple(repaired_useful(x, p, c_inv) for x in samples)
-        ok = all(v == values[0] for v in values)
-        return DeclineVerdict(passed=ok, mode="constant", values=values)
-
-    if not p.strictly_decreasing_above(c_inv):
+    constant = isinstance(p, ConstantPrecision)
+    if not constant and not p.strictly_decreasing_above(c_inv):
         raise ModelValidationError(
             "precision function is not strictly decreasing above the "
             "investigation capacity"
         )
 
-    if isinstance(p, ExponentialDecayPrecision):
+    values = tuple(repaired_useful(x, p, c_inv) for x in samples)
+    if constant:
+        ok = all(v == values[0] for v in values)
+    elif isinstance(p, ExponentialDecayPrecision):
         # exact route: above saturation the useful value is p(rate) * c_inv,
         # so ordering reduces to the exponent comparison
-        ok = all(
-            p.compare(x1, x2) > 0 for x1, x2 in zip(samples, samples[1:])
-        )
-        values = tuple(repaired_useful(x, p, c_inv) for x in samples)
-        return DeclineVerdict(passed=ok, mode="strict_decline", values=values)
-
-    values = tuple(repaired_useful(x, p, c_inv) for x in samples)
-    ok = all(v1 > v2 for v1, v2 in zip(values, values[1:]))
-    return DeclineVerdict(passed=ok, mode="strict_decline", values=values)
+        ok = all(p.compare(x1, x2) > 0 for x1, x2 in zip(samples, samples[1:]))
+    else:
+        ok = all(v1 > v2 for v1, v2 in zip(values, values[1:]))
+    mode = "constant" if constant else "strict_decline"
+    return DeclineVerdict(passed=ok, mode=mode, values=values)

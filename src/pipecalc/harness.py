@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversarial import PipePair, defender_misses_bottleneck, ratio_report
+from .adversarial import defender_misses_bottleneck, ratio_report
 from .ceiling import (
     AuthoritySpec,
     ceiling,
@@ -104,12 +104,11 @@ def generate_authority(cfg: GeneratorConfig, index: int,
 
 def generate_pair(
     cfg: GeneratorConfig, index: int
-) -> tuple[PipePair, Multiplier, Multiplier]:
-    """Attacker instance `index` paired with an independent defender drawn
-    from an auxiliary stream of the same (seed, index)."""
-    attacker, a_mult = generate_instance(cfg, index)
-    defender, d_mult = _generate_defender(cfg, index)
-    return PipePair(attacker, defender), a_mult, d_mult
+) -> tuple[Pipeline, Multiplier, Pipeline, Multiplier]:
+    """Attacker instance `index` and an independent defender drawn from an
+    auxiliary stream of the same (seed, index), as
+    (attacker, aA, defender, aD)."""
+    return (*generate_instance(cfg, index), *_generate_defender(cfg, index))
 
 
 def _generate_defender(cfg: GeneratorConfig,
@@ -198,8 +197,7 @@ def check_adversarial(attacker: Pipeline, aA: Multiplier,
     """Attacker/defender ratios: `ratio_report` against the ratios and gains
     recomputed from raw capacities, and the missed-bottleneck corollary."""
     failures = []
-    pair = PipePair(attacker, defender)
-    rep = ratio_report(pair, aA, aD)  # raises if its two sides disagree
+    rep = ratio_report(attacker, aA, defender, aD)  # raises if its sides disagree
     ta = scan_min(attacker.capacity.values())
     td = scan_min(defender.capacity.values())
     ta_new = scan_min([aA.factor[s] * c for s, c in attacker.capacity.items()])
@@ -212,7 +210,8 @@ def check_adversarial(attacker: Pipeline, aA: Multiplier,
         failures.append("ratio/gain equivalence violated on recomputation")
     if rep.baseline_ratio <= 0 or rep.perturbed_ratio <= 0:
         failures.append("ratios must be strictly positive")
-    if defender_misses_bottleneck(pair, aA, aD) and not rep.favours_attacker:
+    if (defender_misses_bottleneck(attacker, aA, defender, aD)
+            and not rep.favours_attacker):
         failures.append(
             "defender missed its bottleneck yet the ratio did not move "
             "in the attacker's favour"

@@ -26,6 +26,11 @@ from typing import Iterable, Mapping, Sequence, Union
 
 RationalInput = Union[Fraction, int, str]
 
+# CPython's default int-string digit limit.  Fraction expands a decimal
+# exponent into a power of ten before anything can check it, so text such
+# as "1e999999999" would stall; a larger exponent is refused first.
+MAX_EXPONENT = 4300
+
 
 class PipelineValidationError(ValueError):
     """Raised when a pipeline description violates a model assumption."""
@@ -41,7 +46,9 @@ class AdmissibilityError(ValueError):
 
 def as_fraction(value: RationalInput) -> Fraction:
     """Convert an exact input (int, Fraction, or text like "3", "3.25",
-    "13/4") to a Fraction.  Floats are refused to keep arithmetic exact.
+    "13/4", "1e-3") to a Fraction.  Floats are refused to keep arithmetic
+    exact, and so is text whose decimal exponent exceeds MAX_EXPONENT in
+    magnitude.
 
     A Fraction is returned as is: it is immutable, so no copy is needed."""
     if type(value) is Fraction:
@@ -53,6 +60,12 @@ def as_fraction(value: RationalInput) -> Fraction:
             "floats are not accepted; pass an int, Fraction, or exact text "
             'such as "3.25" or "13/4"'
         )
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        exponent = value.lower().rpartition("e")[2].strip().lstrip("+-")
+        digits = exponent.replace("_", "").lstrip("0")
+        # the length test comes first: int() of a long digit string is slow
+        if digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+            raise ValueError(f"decimal exponent exceeds {MAX_EXPONENT} in magnitude")
     return Fraction(value)
 
 
@@ -65,10 +78,6 @@ class ValidationReport:
     """
 
     violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _check_description(
@@ -137,11 +146,6 @@ class Pipeline:
         object.__setattr__(p, "capacity", MappingProxyType(capacity))
         return p
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pipeline):
-            return NotImplemented
-        return self.stages == other.stages and self.capacity == other.capacity
-
     def __hash__(self) -> int:
         return hash((self.stages, tuple(sorted(self.capacity.items()))))
 
@@ -176,11 +180,6 @@ class Multiplier:
     @classmethod
     def identity(cls, p: Pipeline) -> "Multiplier":
         return cls({s: Fraction(1) for s in p.stages})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multiplier):
-            return NotImplemented
-        return self.factor == other.factor
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.factor.items())))

@@ -137,9 +137,9 @@ def test_criterion_6_preservation_and_migration(instances):
 def test_criterion_7_adversarial_equivalence():
     violations = corollary_cases = 0
     for i in range(2000):
-        pair, aA, aD = generate_pair(CFG, i)
-        violations += len(check_adversarial(pair.attacker, aA, pair.defender, aD))
-        corollary_cases += defender_misses_bottleneck(pair, aA, aD)
+        pair = generate_pair(CFG, i)
+        violations += len(check_adversarial(*pair))
+        corollary_cases += defender_misses_bottleneck(*pair)
     ok = violations == 0 and corollary_cases > 0
     report(7, ok, f"2000 pairs, {violations} violations, "
                   f"{corollary_cases} corollary cases")

@@ -2,18 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import fractions, pipeline_with_multiplier
 from pipecalc import (
     AdmissibilityError,
     Multiplier,
     Pipeline,
-    PipePair,
     defender_misses_bottleneck,
-    perturbed_throughput,
     ratio_report,
-    throughput,
 )
 
 
@@ -23,18 +19,17 @@ def example():
 
 class TestRatioReport:
     def test_symmetric_identity(self):
-        pair = PipePair(example(), example())
         ident = Multiplier.identity(example())
-        rep = ratio_report(pair, ident, ident)
+        rep = ratio_report(example(), ident, example(), ident)
         assert rep.perturbed_ratio == rep.baseline_ratio == 1
         assert rep.attacker_gain == rep.defender_gain == 1
         assert not rep.favours_attacker
 
     def test_attacker_improves_bottleneck(self):
-        pair = PipePair(example(), example())
         rep = ratio_report(
-            pair,
+            example(),
             Multiplier({"a": 1, "b": 2, "c": 1}),
+            example(),
             Multiplier.identity(example()),
         )
         assert rep.attacker_gain == 2
@@ -42,40 +37,35 @@ class TestRatioReport:
         assert rep.favours_attacker
 
     def test_equal_gains_keep_ratio(self):
-        pair = PipePair(example(), example())
         boost = Multiplier({"a": 1, "b": Fraction(3, 2), "c": 1})
-        rep = ratio_report(pair, boost, boost)
+        rep = ratio_report(example(), boost, example(), boost)
         assert rep.attacker_gain == rep.defender_gain == Fraction(3, 2)
         assert rep.perturbed_ratio == rep.baseline_ratio
         assert not rep.favours_attacker
 
     def test_admissibility_errors_are_labeled(self):
-        pair = PipePair(example(), example())
         ident = Multiplier.identity(example())
         with pytest.raises(AdmissibilityError, match="attacker"):
-            ratio_report(pair, Multiplier({"a": 1}), ident)
+            ratio_report(example(), Multiplier({"a": 1}), example(), ident)
         with pytest.raises(AdmissibilityError, match="defender"):
-            ratio_report(pair, ident, Multiplier({"a": 1}))
+            ratio_report(example(), ident, example(), Multiplier({"a": 1}))
 
 
 class TestDefenderMissesBottleneck:
     def test_defender_wastes_spend(self):
-        pair = PipePair(example(), example())
         atk = Multiplier({"a": 1, "b": 2, "c": 1})  # hits its bottleneck
         dfn = Multiplier({"a": 5, "b": 1, "c": 5})  # misses its own
-        assert defender_misses_bottleneck(pair, atk, dfn)
-        assert ratio_report(pair, atk, dfn).favours_attacker
+        assert defender_misses_bottleneck(example(), atk, example(), dfn)
+        assert ratio_report(example(), atk, example(), dfn).favours_attacker
 
     def test_both_identity(self):
-        pair = PipePair(example(), example())
         ident = Multiplier.identity(example())
-        assert not defender_misses_bottleneck(pair, ident, ident)
+        assert not defender_misses_bottleneck(example(), ident, example(), ident)
 
     def test_defender_covers_bottlenecks(self):
-        pair = PipePair(example(), example())
         atk = Multiplier({"a": 5, "b": 5, "c": 5})
         dfn = Multiplier({"a": 1, "b": 2, "c": 1})
-        assert not defender_misses_bottleneck(pair, atk, dfn)
+        assert not defender_misses_bottleneck(example(), atk, example(), dfn)
 
 
 # -- properties --------------------------------------------------------------
@@ -83,8 +73,7 @@ class TestDefenderMissesBottleneck:
 
 @given(pipeline_with_multiplier(), pipeline_with_multiplier())
 def test_equivalence_and_positivity(atk, dfn):
-    pair = PipePair(atk[0], dfn[0])
-    rep = ratio_report(pair, atk[1], dfn[1])
+    rep = ratio_report(*atk, *dfn)
     assert rep.baseline_ratio > 0 and rep.perturbed_ratio > 0
     assert rep.attacker_gain > 0 and rep.defender_gain > 0
     # recompute both sides of the equivalence independently
@@ -95,19 +84,17 @@ def test_equivalence_and_positivity(atk, dfn):
 
 @given(pipeline_with_multiplier(), pipeline_with_multiplier())
 def test_corollary_implication(atk, dfn):
-    pair = PipePair(atk[0], dfn[0])
-    if defender_misses_bottleneck(pair, atk[1], dfn[1]):
-        assert ratio_report(pair, atk[1], dfn[1]).favours_attacker
+    if defender_misses_bottleneck(*atk, *dfn):
+        assert ratio_report(*atk, *dfn).favours_attacker
 
 
 @given(pipeline_with_multiplier(), pipeline_with_multiplier(), fractions())
 def test_defender_rescaling_preserves_verdict(atk, dfn, scale):
-    pair = PipePair(atk[0], dfn[0])
-    rep = ratio_report(pair, atk[1], dfn[1])
+    rep = ratio_report(*atk, *dfn)
     scaled = Pipeline(
         dfn[0].stages, {s: scale * c for s, c in dfn[0].capacity.items()}
     )
-    rep2 = ratio_report(PipePair(atk[0], scaled), atk[1], dfn[1])
+    rep2 = ratio_report(*atk, scaled, dfn[1])
     assert rep2.baseline_ratio == rep.baseline_ratio / scale
     assert rep2.perturbed_ratio == rep.perturbed_ratio / scale
     assert rep2.favours_attacker == rep.favours_attacker

@@ -9,7 +9,6 @@ from pipecalc import (
     AuthoritySpec,
     ConfigurationError,
     Multiplier,
-    Pipeline,
     UndefinedCeilingError,
     ceiling,
     generalized_ceiling,

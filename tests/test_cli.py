@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipecalc.harness as harness
 from pipecalc.adversarial import InternalCheckError
@@ -121,6 +123,12 @@ class TestFp:
         assert payload["decline"]["passed"] is True
         assert payload["decline"]["values"][0] == "10/3"
 
+    def test_overlong_integer_refused(self, tmp_path, capsys):
+        path = tmp_path / "fp.json"
+        path.write_text('{"samples": [' + "9" * 5000 + "]}")
+        assert main(["fp", str(path)]) == 1
+        assert "cannot read model file" in capsys.readouterr().err
+
     def test_unknown_family(self, tmp_path, capsys):
         path = tmp_path / "fp.json"
         path.write_text(json.dumps({
@@ -193,6 +201,7 @@ class TestPlan:
     @pytest.mark.parametrize("flag, value, name", [
         ("--budget", "1/0", "budget"),
         ("--budget", "abc", "budget"),
+        ("--budget", "1e5000", "budget"),
         ("--unit-cost", "1/0", "unit cost"),
         ("--unit-cost", "abc", "unit cost"),
     ])
@@ -226,7 +235,7 @@ class TestVerify:
         )
 
     def test_raising_check_family_exits_2(self, capsys, monkeypatch):
-        def raising(pair, aA, aD):
+        def raising(attacker, aA, defender, aD):
             raise InternalCheckError("sides disagree")
 
         monkeypatch.setattr(harness, "ratio_report", raising)
@@ -254,3 +263,63 @@ class TestUsageErrors:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
+
+
+# -- fuzzing the input boundary ----------------------------------------------
+
+FP_MODEL = json.dumps({
+    "fixed_fraction": {
+        "false_positive_fraction": "1/2",
+        "investigation_capacity": "10",
+    },
+    "precision": {
+        "family": "table",
+        "investigation_capacity": "10",
+        "points": [["5", "9/10"], ["50", "1/2"], ["500", "1/10"]],
+    },
+    "samples": ["20", "40", "80"],
+})
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def json_paths(value, path=()):
+    """Every path into a parsed JSON value, the root included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    value[path[0]] = replaced(value[path[0]], path[1:], new)
+    return value
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_0_or_1(tmp_path_factory, data):
+    # one value anywhere in a valid document or fp model replaced by
+    # arbitrary JSON: each subcommand that reads such a file reports
+    # success or a named error
+    is_doc = data.draw(st.booleans())
+    raw = json.loads(EXAMPLE_DOC if is_doc else FP_MODEL)
+    path = data.draw(st.sampled_from(list(json_paths(raw))))
+    mutated = replaced(raw, path, data.draw(JSON_VALUES))
+    base = tmp_path_factory.getbasetemp()
+    (base / "fuzz.json").write_text(json.dumps(mutated))
+    (base / "example.json").write_text(EXAMPLE_DOC)
+    f, example = str(base / "fuzz.json"), str(base / "example.json")
+    commands = ([["analyze", f], ["perturb", f, "--scenario", "boost"],
+                 ["ceiling", f], ["compare", f, example],
+                 ["plan", f, "--budget", "2"]] if is_doc else [["fp", f]])
+    for argv in commands:
+        assert main(argv) in (0, 1), argv

@@ -93,6 +93,25 @@ class TestParse:
         with pytest.raises(DocumentError, match="JSON"):
             parse_document("{nope")
 
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000"])
+    def test_huge_exponent_capacity_rejected(self, text):
+        raw = json.loads(EXAMPLE_DOC)
+        raw["pipeline"]["stages"][0]["capacity"] = text
+        with pytest.raises(DocumentError,
+                           match="capacity of stage 'a' is not an exact rational"):
+            parse_document(json.dumps(raw))
+
+    def test_overlong_json_integer_rejected(self):
+        text = EXAMPLE_DOC.replace('"capacity": "3"', '"capacity": ' + "7" * 5000)
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            parse_document(text)
+
+    def test_large_exponent_within_bound_parses(self):
+        raw = json.loads(EXAMPLE_DOC)
+        raw["pipeline"]["stages"][0]["capacity"] = "1e300"
+        doc = parse_document(json.dumps(raw))
+        assert doc.pipeline.capacity["a"] == 10 ** 300
+
     def test_float_capacity_rejected(self):
         raw = json.loads(EXAMPLE_DOC)
         raw["pipeline"]["stages"][0]["capacity"] = 3.25

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pipecalc.harness as harness
 from pipecalc import (
     GeneratorConfig,
-    PipePair,
     generate_instance,
     structured_report,
     verify_all,
@@ -97,7 +96,7 @@ class TestVerifyAll:
         assert generate_instance(cfg, ce.index) == generate_instance(cfg, 0)
 
     def test_raising_check_family_is_a_counterexample(self, monkeypatch):
-        def raising(pair, aA, aD):
+        def raising(attacker, aA, defender, aD):
             raise InternalCheckError("sides disagree")
 
         monkeypatch.setattr(harness, "ratio_report", raising)
@@ -115,8 +114,8 @@ class TestVerifyAll:
         # capacities must flag every instance whose report the swap changes
         real = harness.ratio_report
 
-        def swapped(pair, aA, aD):
-            return real(PipePair(pair.defender, pair.attacker), aD, aA)
+        def swapped(attacker, aA, defender, aD):
+            return real(defender, aD, attacker, aA)
 
         cfg = GeneratorConfig(seed=47, instance_count=40)
         changed = {i for i in range(40)
@@ -142,5 +141,4 @@ def test_verify_instance_uses_the_generated_pair(monkeypatch):
     monkeypatch.setattr(harness, "check_adversarial", recording)
     for i in range(500):
         verify_instance(cfg, i)
-        pair, aA, aD = generate_pair(cfg, i)
-        assert seen[-1] == (pair.attacker, aA, pair.defender, aD)
+        assert seen[-1] == generate_pair(cfg, i)

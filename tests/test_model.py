@@ -34,6 +34,18 @@ class TestAsFraction:
         with pytest.raises(TypeError):
             as_fraction(value)
 
+    @pytest.mark.parametrize("text", ["1e5000", "-1e-5000", "1E+4301", "2.5e1_0000"])
+    def test_huge_decimal_exponent_refused(self, text):
+        with pytest.raises(ValueError, match="exponent exceeds 4300"):
+            as_fraction(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("-25e-4300", -25 / Fraction(10) ** 4300),
+        ("1e0004300", Fraction(10) ** 4300),
+    ])
+    def test_exponent_within_bound_parses(self, text, value):
+        assert as_fraction(text) == value
+
     def test_fraction_subclass_converted(self):
         class Tagged(Fraction):
             pass
