@@ -25,10 +25,10 @@ from typing import Optional
 from .model import (
     Multiplier,
     Pipeline,
+    _perturbed_argmin,
     bottleneck_report,
     bottleneck_set,
     check_admissible,
-    perturb,
     perturbed_throughput,
 )
 
@@ -108,8 +108,9 @@ def classify(p: Pipeline, a: Multiplier) -> PerturbationClassification:
 def _bottlenecks_before_after(
     p: Pipeline, a: Multiplier
 ) -> tuple[frozenset[str], frozenset[str]]:
-    # perturb refuses an inadmissible multiplier
-    return bottleneck_set(p), bottleneck_set(perturb(p, a))
+    # the perturbed ties come straight from the products; no perturbed
+    # pipeline is built.  _perturbed_argmin refuses an inadmissible multiplier
+    return bottleneck_set(p), frozenset(_perturbed_argmin(p, a)[2])
 
 
 def preservation_report(p: Pipeline, a: Multiplier) -> PreservationReport:

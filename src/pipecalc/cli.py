@@ -11,12 +11,15 @@ Subcommands:
 
 Exit status: 0 success, 1 validation or usage error, 2 internal
 verification counterexample.  Structured output renders every rational as
-exact "num/den" (or integer) text, never as a decimal approximation.
+exact "num/den" (or integer) text, never as a decimal approximation; a
+result too long for CPython's int-to-text limit is an error (exit 1) that
+names the quantity.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -48,6 +51,22 @@ from .model import bottleneck_report, perturbed_throughput
 from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_allocation
 
 
+def _text(value, quantity: str) -> str:
+    """Exact text of a printed result.  A value longer than CPython's limit
+    on int-to-text conversion is refused with an error naming `quantity`."""
+    try:
+        return str(value)
+    except ValueError:  # the int-string digit limit
+        raise DocumentError(
+            f"{quantity} has too many digits to print exactly"
+        ) from None
+
+
+def _factors(mult) -> dict[str, str]:
+    return {s: _text(f, f"factor of stage {s!r}")
+            for s, f in sorted(mult.factor.items())}
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -59,15 +78,16 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def _cmd_analyze(args) -> int:
     doc = load_document(args.file)
     rep = bottleneck_report(doc.pipeline)
+    tp = _text(rep.throughput, "throughput")
     payload = {
         "pipeline": doc.name,
-        "throughput": str(rep.throughput),
+        "throughput": tp,
         "bottlenecks": list(rep.bottlenecks),
         "non_bottlenecks": list(rep.non_bottlenecks),
     }
     _emit(args, payload, [
         f"pipeline: {doc.name or args.file}",
-        f"throughput: {rep.throughput}",
+        f"throughput: {tp}",
         f"bottlenecks: {', '.join(rep.bottlenecks)}",
         f"non-bottlenecks: {', '.join(rep.non_bottlenecks) or '(none)'}",
     ])
@@ -80,23 +100,27 @@ def _cmd_perturb(args) -> int:
     cls = classify(doc.pipeline, mult)
     pres = preservation_report(doc.pipeline, mult)
     migr = migration_decomposition(doc.pipeline, mult)
+    base = _text(cls.base_throughput, "base throughput")
+    new = _text(cls.new_throughput, "new throughput")
+    common = (None if pres.common_factor is None
+              else _text(pres.common_factor, "common factor"))
     payload = {
         "scenario": args.scenario or "(identity)",
         "outcome": cls.outcome.value,
-        "base_throughput": str(cls.base_throughput),
-        "new_throughput": str(cls.new_throughput),
+        "base_throughput": base,
+        "new_throughput": new,
         "witness": cls.witness,
         "preserved": pres.preserved,
         "condition_i": pres.condition_i,
         "condition_ii": pres.condition_ii,
-        "common_factor": None if pres.common_factor is None else str(pres.common_factor),
+        "common_factor": common,
         "departed": list(migr.departed),
         "entered": list(migr.entered),
     }
     lines = [
         f"scenario: {args.scenario or '(identity)'}",
         f"outcome: {cls.outcome.value}",
-        f"throughput: {cls.base_throughput} -> {cls.new_throughput}",
+        f"throughput: {base} -> {new}",
     ]
     if cls.witness is not None:
         lines.append(f"unchanged because bottleneck {cls.witness!r} kept factor 1")
@@ -120,24 +144,25 @@ def _cmd_ceiling(args) -> int:
     if doc.authority is None:
         raise DocumentError("document has no authority section")
     h = doc.authority
-    cap = ceiling_value(doc.pipeline, h)
+    cap = _text(ceiling_value(doc.pipeline, h), "ceiling")
     witness = tightness_witness(doc.pipeline, h)
-    achieved = perturbed_throughput(doc.pipeline, witness)
+    achieved = _text(perturbed_throughput(doc.pipeline, witness),
+                     "witness throughput")
+    factors = _factors(witness)
     payload = {
-        "ceiling": str(cap),
-        "witness": {s: str(f) for s, f in sorted(witness.factor.items())},
-        "witness_throughput": str(achieved),
+        "ceiling": cap,
+        "witness": factors,
+        "witness_throughput": achieved,
     }
     lines = [
         f"pinned stages: {', '.join(sorted(h.human_stages))}",
         f"ceiling: {cap}",
-        "witness factors: "
-        + ", ".join(f"{s}={f}" for s, f in sorted(witness.factor.items())),
+        "witness factors: " + ", ".join(f"{s}={f}" for s, f in factors.items()),
         f"witness throughput: {achieved} (achieves the ceiling exactly)",
     ]
     if h.assist_bound is not None:
-        gen = generalized_ceiling(doc.pipeline, h)
-        payload["generalized_ceiling"] = str(gen)
+        gen = _text(generalized_ceiling(doc.pipeline, h), "assist-bound ceiling")
+        payload["generalized_ceiling"] = gen
         lines.append(f"assist-bound ceiling (bound only): {gen}")
     _emit(args, payload, lines)
     return 0
@@ -149,17 +174,16 @@ def _cmd_compare(args) -> int:
     rep = ratio_report(atk.pipeline, atk.scenario(args.scenario),
                        dfn.pipeline, dfn.scenario(args.scenario))
     payload = {
-        "baseline_ratio": str(rep.baseline_ratio),
-        "perturbed_ratio": str(rep.perturbed_ratio),
-        "attacker_gain": str(rep.attacker_gain),
-        "defender_gain": str(rep.defender_gain),
-        "favours_attacker": rep.favours_attacker,
+        key: _text(getattr(rep, key), key.replace("_", " "))
+        for key in ("baseline_ratio", "perturbed_ratio",
+                    "attacker_gain", "defender_gain")
     }
+    payload["favours_attacker"] = rep.favours_attacker
     _emit(args, payload, [
-        f"baseline ratio:  {rep.baseline_ratio}",
-        f"perturbed ratio: {rep.perturbed_ratio}",
-        f"attacker gain:   {rep.attacker_gain}",
-        f"defender gain:   {rep.defender_gain}",
+        f"baseline ratio:  {payload['baseline_ratio']}",
+        f"perturbed ratio: {payload['perturbed_ratio']}",
+        f"attacker gain:   {payload['attacker_gain']}",
+        f"defender gain:   {payload['defender_gain']}",
         f"favours attacker: {rep.favours_attacker}",
     ])
     return 0
@@ -226,20 +250,22 @@ def _cmd_fp(args) -> int:
         )
         above = [s for s in samples if s > model.investigation_capacity]
         verdict = plateau_check(model, above)
+        common = _text(verdict.common_value, "plateau value")
         payload["plateau"] = {
             "passed": verdict.passed,
-            "common_value": str(verdict.common_value),
+            "common_value": common,
             "samples_checked": verdict.samples_checked,
         }
         lines.append(
             f"fixed-fraction plateau: {'pass' if verdict.passed else 'FAIL'} "
-            f"(common value {verdict.common_value} over "
+            f"(common value {common} over "
             f"{verdict.samples_checked} samples)"
         )
         if not verdict.passed:
             status = 2
         for lam in samples:
-            lines.append(f"  U({lam}) = {simple_useful(lam, model)}")
+            lines.append(f"  U({_text(lam, 'sample')}) = "
+                         f"{_text(simple_useful(lam, model), 'useful rate')}")
 
     if "precision" in cfg:
         pc = _section(cfg, "precision")
@@ -253,17 +279,18 @@ def _cmd_fp(args) -> int:
         c_inv = _number(pc, "investigation_capacity", "precision")
         above = sorted({s for s in samples if s > c_inv})
         verdict = decline_check(p, c_inv, above)
+        values = [_text(v, "useful rate") for v in verdict.values]
         payload["decline"] = {
             "passed": verdict.passed,
             "mode": verdict.mode,
-            "values": [str(v) for v in verdict.values],
+            "values": values,
         }
         lines.append(
             f"precision-model {verdict.mode}: "
             f"{'pass' if verdict.passed else 'FAIL'}"
         )
-        for lam, val in zip(above, verdict.values):
-            lines.append(f"  U_p({lam}) = {val}")
+        for lam, val in zip(above, values):
+            lines.append(f"  U_p({_text(lam, 'sample')}) = {val}")
         if not verdict.passed:
             status = 2
 
@@ -271,41 +298,42 @@ def _cmd_fp(args) -> int:
     return status
 
 
+def _allocation(result) -> dict:
+    return {
+        "factors": _factors(result.multiplier),
+        "throughput": _text(result.achieved_throughput, "planned throughput"),
+        "spent": _text(result.spent, "spent budget"),
+    }
+
+
 def _cmd_plan(args) -> int:
     doc = load_document(args.file)
     cost = CostModel.uniform(doc.pipeline, _exact(args.budget, "budget"),
                              _exact(args.unit_cost, "unit cost"))
-    payload: dict = {"budget": str(cost.budget)}
-    lines = [f"budget: {cost.budget} (unit cost {args.unit_cost} per stage)"]
+    budget = _text(cost.budget, "budget")
+    payload: dict = {"budget": budget}
+    lines = [f"budget: {budget} (unit cost {args.unit_cost} per stage)"]
 
     try:
-        triv = trivial_allocation(doc.pipeline, cost)
-        payload["trivial"] = {
-            "factors": {s: str(f) for s, f in sorted(triv.multiplier.factor.items())},
-            "throughput": str(triv.achieved_throughput),
-            "spent": str(triv.spent),
-        }
+        trivial = payload["trivial"] = _allocation(
+            trivial_allocation(doc.pipeline, cost))
         lines.append(
             f"trivial (single-bottleneck) allocation: throughput "
-            f"{triv.achieved_throughput}, spent {triv.spent}"
+            f"{trivial['throughput']}, spent {trivial['spent']}"
         )
     except TiedBottleneckError as exc:
         payload["trivial"] = {"refused": str(exc)}
         lines.append(f"trivial allocation refused: {exc}")
 
-    result = maxmin_allocation(doc.pipeline, cost)
-    payload["maxmin"] = {
-        "factors": {s: str(f) for s, f in sorted(result.multiplier.factor.items())},
-        "throughput": str(result.achieved_throughput),
-        "spent": str(result.spent),
-    }
+    maxmin = payload["maxmin"] = _allocation(
+        maxmin_allocation(doc.pipeline, cost))
     lines.append(
-        f"max-min allocation: throughput {result.achieved_throughput}, "
-        f"spent {result.spent}"
+        f"max-min allocation: throughput {maxmin['throughput']}, "
+        f"spent {maxmin['spent']}"
     )
     lines.append(
         "  factors: "
-        + ", ".join(f"{s}={f}" for s, f in sorted(result.multiplier.factor.items()))
+        + ", ".join(f"{s}={f}" for s, f in maxmin["factors"].items())
     )
     _emit(args, payload, lines)
     return 0
@@ -330,7 +358,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing keeps no state in it, and callers must not change
+    it."""
     parser = _Parser(
         prog="pipecalc",
         description="Exact bottleneck-throughput analysis for serial pipelines.",

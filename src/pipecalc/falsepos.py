@@ -72,6 +72,10 @@ def simple_useful(lam: RationalInput, m: FixedFractionModel) -> Fraction:
     lam = as_fraction(lam)
     if lam <= 0:
         raise DomainError(f"rate {lam} must be > 0")
+    return _simple_useful(lam, m)
+
+
+def _simple_useful(lam: Fraction, m: FixedFractionModel) -> Fraction:
     return (1 - m.false_positive_fraction) * min(lam, m.investigation_capacity)
 
 
@@ -93,7 +97,8 @@ def plateau_check(m: FixedFractionModel, lambdas) -> PlateauVerdict:
             f"samples must exceed the investigation capacity; got {low[:3]}"
         )
     expected = (1 - m.false_positive_fraction) * m.investigation_capacity
-    ok = all(simple_useful(x, m) == expected for x in samples)
+    # every sample exceeds a positive capacity, so each is in the domain
+    ok = all(_simple_useful(x, m) == expected for x in samples)
     return PlateauVerdict(passed=ok, common_value=expected,
                           samples_checked=len(samples))
 
@@ -222,6 +227,13 @@ PrecisionFunction = Union[
 ]
 
 
+def _check_domain(lam: Fraction, c_inv: Fraction) -> None:
+    if lam <= 0:
+        raise DomainError(f"rate {lam} must be > 0")
+    if c_inv <= 0:
+        raise DomainError(f"investigation capacity {c_inv} must be > 0")
+
+
 def repaired_useful(
     lam: RationalInput, p: PrecisionFunction, c_inv: RationalInput
 ):
@@ -229,10 +241,11 @@ def repaired_useful(
     except exponential decay, which returns a decimal128 value."""
     lam = as_fraction(lam)
     c_inv = as_fraction(c_inv)
-    if lam <= 0:
-        raise DomainError(f"rate {lam} must be > 0")
-    if c_inv <= 0:
-        raise DomainError(f"investigation capacity {c_inv} must be > 0")
+    _check_domain(lam, c_inv)
+    return _repaired_useful(lam, p, c_inv)
+
+
+def _repaired_useful(lam: Fraction, p: PrecisionFunction, c_inv: Fraction):
     effective = min(lam, c_inv)
     val = p.value(lam)
     if isinstance(val, Decimal):
@@ -270,7 +283,11 @@ def decline_check(
             "investigation capacity"
         )
 
-    values = tuple(repaired_useful(x, p, c_inv) for x in samples)
+    if samples:
+        # the samples increase and exceed c_inv, so the first one is in the
+        # domain exactly when all are
+        _check_domain(samples[0], c_inv)
+    values = tuple(_repaired_useful(x, p, c_inv) for x in samples)
     if constant:
         ok = all(v == values[0] for v in values)
     elif isinstance(p, ExponentialDecayPrecision):

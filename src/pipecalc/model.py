@@ -8,7 +8,10 @@ stagewise.
 
 All quantities are exact rationals (`fractions.Fraction`).  Floats are
 rejected at the boundary: the equality and tie structure the analysis relies
-on would not survive binary rounding.
+on would not survive binary rounding.  Minima and ties are decided by
+integer cross-multiplication of numerators and denominators (`_argmin`),
+which is exact and builds no intermediate Fraction; every result returned
+is still a Fraction.
 
 Model assumptions enforced by validation (numbered for report output):
   1. the stage set is finite and nonempty;
@@ -222,21 +225,59 @@ class BottleneckReport:
         return frozenset(self.bottlenecks)
 
 
+def _argmin(triples: Iterable[tuple[str, int, int]]) -> tuple[int, int, list[str]]:
+    """Smallest n/d over nonempty (stage, n, d) triples with d > 0, as
+    (n, d, stages attaining it in input order).
+
+    n1/d1 < n2/d2 exactly when n1*d2 < n2*d1, so every comparison is one
+    pair of integer products and no Fraction is built or normalised."""
+    it = iter(triples)
+    stage, best_n, best_d = next(it)
+    ties = [stage]
+    for stage, n, d in it:
+        lhs, rhs = n * best_d, best_n * d
+        if lhs < rhs:
+            best_n, best_d, ties = n, d, [stage]
+        elif lhs == rhs:
+            ties.append(stage)
+    return best_n, best_d, ties
+
+
+def _capacity_argmin(p: Pipeline) -> tuple[int, int, list[str]]:
+    """`_argmin` of the capacities, in stage order."""
+    cap = p.capacity
+    return _argmin([(s, (c := cap[s]).numerator, c.denominator) for s in p.stages])
+
+
+def _perturbed_argmin(p: Pipeline, a: Multiplier) -> tuple[int, int, list[str]]:
+    """`_argmin` of factor * capacity over p's stages, after refusing an
+    inadmissible multiplier.  The products stay unreduced integer pairs."""
+    check_admissible(p, a)
+    cap, fac = p.capacity, a.factor
+    return _argmin([
+        (s, (c := cap[s]).numerator * (f := fac[s]).numerator,
+         c.denominator * f.denominator)
+        for s in p.stages
+    ])
+
+
 def throughput(p: Pipeline) -> Fraction:
     """Minimum stage capacity.  Always exists and is > 0."""
-    return min(p.capacity[s] for s in p.stages)
+    return p.capacity[_capacity_argmin(p)[2][0]]
 
 
 def bottleneck_set(p: Pipeline) -> frozenset[str]:
-    t = throughput(p)
-    return frozenset(s for s in p.stages if p.capacity[s] == t)
+    return frozenset(_capacity_argmin(p)[2])
 
 
 def bottleneck_report(p: Pipeline) -> BottleneckReport:
-    t = throughput(p)
-    bottle = tuple(s for s in p.stages if p.capacity[s] == t)
-    rest = tuple(s for s in p.stages if p.capacity[s] != t)
-    return BottleneckReport(throughput=t, bottlenecks=bottle, non_bottlenecks=rest)
+    bottle = _capacity_argmin(p)[2]
+    tied = set(bottle)
+    return BottleneckReport(
+        throughput=p.capacity[bottle[0]],
+        bottlenecks=tuple(bottle),
+        non_bottlenecks=tuple(s for s in p.stages if s not in tied),
+    )
 
 
 def perturb(p: Pipeline, a: Multiplier) -> Pipeline:
@@ -254,6 +295,7 @@ def perturb(p: Pipeline, a: Multiplier) -> Pipeline:
 
 def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:
     """Throughput after perturbation, computed directly as
-    min over stages of factor * capacity."""
-    check_admissible(p, a)
-    return min(a.factor[s] * p.capacity[s] for s in p.stages)
+    min over stages of factor * capacity, without building the perturbed
+    pipeline."""
+    n, d, _ = _perturbed_argmin(p, a)
+    return Fraction(n, d)

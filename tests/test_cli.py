@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pipecalc.harness as harness
 from pipecalc.adversarial import InternalCheckError
 from pipecalc.characterize import CharacterizationVerdict
-from pipecalc.cli import main
+from pipecalc.cli import build_parser, main
 from test_documents import EXAMPLE_DOC
 
 
@@ -263,6 +263,55 @@ class TestUsageErrors:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_scenario_does_not_carry_over(self, doc_path, capsys):
+        assert main(["perturb", doc_path, "--scenario", "boost"]) == 0
+        assert "strict_increase" in capsys.readouterr().out
+        assert main(["perturb", doc_path]) == 0
+        out = capsys.readouterr().out
+        assert "scenario: (identity)" in out
+        assert "outcome: unchanged" in out
+
+    def test_valid_call_after_usage_error(self, doc_path, capsys):
+        assert main(["plan", doc_path]) == 1  # --budget is required
+        assert main(["plan", doc_path, "--budget", "1"]) == 0
+        assert "max-min allocation" in capsys.readouterr().out
+
+    def test_format_does_not_carry_over(self, doc_path, capsys):
+        assert main(["analyze", doc_path, "--format", "structured"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert main(["analyze", doc_path]) == 0
+        assert capsys.readouterr().out.startswith("pipeline: ")
+
+
+class TestOverlongResults:
+    # every input is inside the exponent bound, but 10**4300 has 4301 digits
+    @pytest.mark.parametrize("caps, boost, argv, quantity", [
+        (("1e4300", "2e4300"), {"a": "1e4300"}, ["analyze"], "throughput"),
+        (("1e4300", "2e4300"), {"a": "1e4300"},
+         ["perturb", "--scenario", "boost"], "base throughput"),
+        (("1e4299", "2e4299"), {"a": "10", "b": "10"},
+         ["perturb", "--scenario", "boost", "--format", "structured"],
+         "new throughput"),
+    ], ids=["analyze", "perturb-base", "perturb-new"])
+    def test_named_error(self, tmp_path, capsys, caps, boost, argv, quantity):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "pipeline": {"name": "big", "stages": [
+                {"id": "a", "capacity": caps[0]},
+                {"id": "b", "capacity": caps[1]}]},
+            "scenarios": {"boost": boost},
+        }))
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {quantity} has too many digits" in captured.err
 
 
 # -- fuzzing the input boundary ----------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fractions, pipeline_with_multiplier, pipelines
@@ -15,6 +15,7 @@ from pipecalc import (
     ValidationReport,
     bottleneck_report,
     bottleneck_set,
+    migration_decomposition,
     perturb,
     perturbed_throughput,
     throughput,
@@ -268,3 +269,49 @@ def test_strict_minimum_micro_lemma(values, c):
     # any family strictly above c has its minimum strictly above c
     family = [c + v for v in values]
     assert scan_min(family) > c
+
+
+# values with mixed denominators, and some at the 10**±4300 ends of the
+# exponent bound, whose cross-products run to about 8600 digits
+SMALL = fractions(min_num=1, max_num=12, max_den=6)
+EXACT_VALUES = SMALL | st.builds(
+    lambda m, e: m * Fraction(10) ** e, SMALL,
+    st.sampled_from([-4300, -4299, 4299, 4300]))
+# factors such as 3/2 and 2 make ties that appear only after multiplication
+FACTORS = st.sampled_from([Fraction(1), Fraction(4, 3), Fraction(3, 2),
+                           Fraction(2), Fraction(3)]) | st.builds(
+    lambda m: m * Fraction(10) ** 4300, SMALL)
+
+
+@st.composite
+def exact_pipeline_with_multiplier(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    stages = tuple(f"s{i}" for i in range(n))
+    p = Pipeline(stages, {s: draw(EXACT_VALUES) for s in stages})
+    return p, Multiplier({s: draw(FACTORS) for s in stages})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(exact_pipeline_with_multiplier())
+@example((Pipeline(("x", "y"), {"x": Fraction(3, 2), "y": 3}),
+          Multiplier({"x": 2, "y": 1})))
+def test_core_matches_fraction_oracle(pm):
+    # the core decides minima and ties on integer cross-products; the
+    # oracle is a Fraction scan with Fraction equality
+    p, a = pm
+    caps = [p.capacity[s] for s in p.stages]
+    products = {s: a.factor[s] * p.capacity[s] for s in p.stages}
+    base, new = scan_min(caps), scan_min(products.values())
+    before = tuple(s for s in p.stages if p.capacity[s] == base)
+    after = {s for s in p.stages if products[s] == new}
+
+    rep = bottleneck_report(p)
+    assert throughput(p) == base and rep.throughput == base
+    assert bottleneck_set(p) == set(before)
+    assert rep.bottlenecks == before
+    assert rep.non_bottlenecks == tuple(s for s in p.stages if s not in before)
+    assert perturbed_throughput(p, a) == new
+    migr = migration_decomposition(p, a)
+    assert (set(before) - set(migr.departed)) | set(migr.entered) == after
+    assert all(type(v) is Fraction for v in (
+        throughput(p), rep.throughput, perturbed_throughput(p, a)))
