@@ -19,7 +19,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .model import Multiplier, Pipeline, RationalInput, as_fraction
+from .model import ONE, Multiplier, Pipeline, RationalInput, as_fraction
 
 
 class UndefinedCeilingError(ValueError):
@@ -54,7 +54,9 @@ class AuthoritySpec:
                 raise ConfigurationError(
                     "assist bounds must cover exactly the pinned stages"
                 )
-            low = sorted(s for s, b in bounds.items() if b < 1)
+            low = sorted(
+                s for s, b in bounds.items() if b.numerator < b.denominator
+            )
             if low:
                 raise ConfigurationError(f"assist bounds below 1: {low}")
             bounds = MappingProxyType(bounds)
@@ -98,10 +100,8 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
         return Multiplier.identity(p)
     cap_h = ceiling(p, h)
     machine_min = min(p.capacity[s] for s in machine)
-    n = math.ceil(cap_h / machine_min) + 1
-    return Multiplier({
-        s: Fraction(1) if s in h.human_stages else Fraction(n) for s in p.stages
-    })
+    n = Fraction(math.ceil(cap_h / machine_min) + 1)
+    return Multiplier({s: ONE if s in h.human_stages else n for s in p.stages})
 
 
 def generalized_ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:

@@ -25,7 +25,9 @@ from typing import Optional
 from .model import (
     Multiplier,
     Pipeline,
+    _argmin,
     _perturbed_argmin,
+    _products,
     bottleneck_report,
     bottleneck_set,
     check_admissible,
@@ -123,9 +125,12 @@ def preservation_report(p: Pipeline, a: Multiplier) -> PreservationReport:
 
     rest = [s for s in p.stages if s not in before]
     if rest:
-        worst_bottleneck = max(a.factor[s] * p.capacity[s] for s in before)
-        best_rest = min(a.factor[s] * p.capacity[s] for s in rest)
-        condition_ii = worst_bottleneck < best_rest
+        # the largest bottleneck product is the smallest of the negated
+        # ones; both sides stay unreduced integer pairs (n, d) with d > 0
+        neg_n, worst_d, _ = _argmin(
+            [(s, -n, d) for s, n, d in _products(p, a, before)])
+        best_n, best_d, _ = _argmin(_products(p, a, rest))
+        condition_ii = -neg_n * best_d < best_n * worst_d
     else:
         condition_ii = True
 

@@ -36,7 +36,7 @@ from .characterize import (
     migration_decomposition,
     preservation_report,
 )
-from .documents import DocumentError, _exact, load_document
+from .documents import DocumentError, _exact, _text, load_document
 from .falsepos import (
     ConstantPrecision,
     ExponentialDecayPrecision,
@@ -49,17 +49,6 @@ from .falsepos import (
 )
 from .model import bottleneck_report, perturbed_throughput
 from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_allocation
-
-
-def _text(value, quantity: str) -> str:
-    """Exact text of a printed result.  A value longer than CPython's limit
-    on int-to-text conversion is refused with an error naming `quantity`."""
-    try:
-        return str(value)
-    except ValueError:  # the int-string digit limit
-        raise DocumentError(
-            f"{quantity} has too many digits to print exactly"
-        ) from None
 
 
 def _factors(mult) -> dict[str, str]:

@@ -29,6 +29,7 @@ from typing import Mapping, Optional
 
 from .ceiling import AuthoritySpec, ConfigurationError
 from .model import (
+    ONE,
     Multiplier,
     Pipeline,
     ValidationReport,
@@ -59,6 +60,18 @@ class PipelineDocument:
                 f"no scenario named {name!r}; have {sorted(self.scenarios)}"
             )
         return self.scenarios[name]
+
+
+def _text(value, quantity: str) -> str:
+    """Exact text of a rational, as a document or a report prints it.  A
+    value longer than CPython's limit on int-to-text conversion is refused
+    with an error naming `quantity`."""
+    try:
+        return str(value)
+    except ValueError:  # the int-string digit limit
+        raise DocumentError(
+            f"{quantity} has too many digits to print exactly"
+        ) from None
 
 
 def _exact(text, what: str) -> Fraction:
@@ -151,7 +164,7 @@ def parse_document(text: str) -> PipelineDocument:
             raise DocumentError(
                 f"scenario {scen_name!r} names unknown stages {unknown}"
             )
-        factors = {s: Fraction(1) for s in pipeline.stages}
+        factors = dict.fromkeys(pipeline.stages, ONE)
         for s, v in factors_raw.items():
             factors[s] = _exact(v, f"factor of stage {s!r} in {scen_name!r}")
         try:
@@ -173,7 +186,8 @@ def document_dict(doc: PipelineDocument) -> dict:
         "pipeline": {
             "name": doc.name,
             "stages": [
-                {"id": s, "capacity": str(doc.pipeline.capacity[s])}
+                {"id": s, "capacity": _text(doc.pipeline.capacity[s],
+                                            f"capacity of stage {s!r}")}
                 for s in doc.pipeline.stages
             ],
         },
@@ -184,12 +198,14 @@ def document_dict(doc: PipelineDocument) -> dict:
         }
         if doc.authority.assist_bound is not None:
             auth["assist_bounds"] = {
-                s: str(b) for s, b in sorted(doc.authority.assist_bound.items())
+                s: _text(b, f"assist bound of stage {s!r}")
+                for s, b in sorted(doc.authority.assist_bound.items())
             }
         out["authority"] = auth
     if doc.scenarios:
         out["scenarios"] = {
-            name: {s: str(f) for s, f in sorted(mult.factor.items())}
+            name: {s: _text(f, f"factor of stage {s!r} in {name!r}")
+                   for s, f in sorted(mult.factor.items())}
             for name, mult in sorted(doc.scenarios.items())
         }
     return out

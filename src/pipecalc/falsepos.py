@@ -230,6 +230,10 @@ PrecisionFunction = Union[
 def _check_domain(lam: Fraction, c_inv: Fraction) -> None:
     if lam <= 0:
         raise DomainError(f"rate {lam} must be > 0")
+    _check_capacity(c_inv)
+
+
+def _check_capacity(c_inv: Fraction) -> None:
     if c_inv <= 0:
         raise DomainError(f"investigation capacity {c_inv} must be > 0")
 
@@ -287,6 +291,8 @@ def decline_check(
         # the samples increase and exceed c_inv, so the first one is in the
         # domain exactly when all are
         _check_domain(samples[0], c_inv)
+    else:
+        _check_capacity(c_inv)
     values = tuple(_repaired_useful(x, p, c_inv) for x in samples)
     if constant:
         ok = all(v == values[0] for v in values)

@@ -37,7 +37,7 @@ from .falsepos import (
     decline_check,
     plateau_check,
 )
-from .model import Multiplier, Pipeline, perturbed_throughput
+from .model import ONE, Multiplier, Pipeline, perturbed_throughput
 
 CAPACITY_GRID = tuple(Fraction(i) for i in range(1, 11))
 # factor 1 listed twice: ties kept at factor 1 are the interesting case
@@ -161,8 +161,7 @@ def check_ceiling(p: Pipeline, a: Multiplier,
     stays at or below `ceiling(p, h)`, and the tightness witness attains it."""
     failures = []
     pinned = Multiplier(
-        {s: Fraction(1) if s in h.human_stages else f
-         for s, f in a.factor.items()}
+        {s: ONE if s in h.human_stages else f for s, f in a.factor.items()}
     )
     if not is_h_admissible(pinned, h):
         failures.append("pinned multiplier not recognised as authority-admissible")
@@ -184,9 +183,7 @@ def check_ceiling(p: Pipeline, a: Multiplier,
     ):
         failures.append("witness leaves a non-pinned stage at or below the ceiling")
     # with all-ones assist bounds the generalised bound reduces to the ceiling
-    ones = AuthoritySpec(
-        h.human_stages, {s: Fraction(1) for s in h.human_stages}
-    )
+    ones = AuthoritySpec(h.human_stages, dict.fromkeys(h.human_stages, ONE))
     if generalized_ceiling(p, ones) != cap:
         failures.append("all-ones assist bounds do not reduce to the ceiling")
     return failures

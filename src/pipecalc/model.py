@@ -11,7 +11,10 @@ rejected at the boundary: the equality and tie structure the analysis relies
 on would not survive binary rounding.  Minima and ties are decided by
 integer cross-multiplication of numerators and denominators (`_argmin`),
 which is exact and builds no intermediate Fraction; every result returned
-is still a Fraction.
+is still a Fraction.  The constructors' sign checks (capacity > 0, factor
+>= 1, and their relatives in `ceiling` and `planner`) read the sign off the
+normalised numerator and denominator, and `characterize` decides
+preservation's separation test on unreduced integer pairs in the same way.
 
 Model assumptions enforced by validation (numbered for report output):
   1. the stage set is finite and nonempty;
@@ -33,6 +36,10 @@ RationalInput = Union[Fraction, int, str]
 # exponent into a power of ten before anything can check it, so text such
 # as "1e999999999" would stall; a larger exponent is refused first.
 MAX_EXPONENT = 4300
+
+# the factor of a stage left unimproved; Fractions are immutable, so every
+# default factor is this one value and none is built per stage
+ONE = Fraction(1)
 
 
 class PipelineValidationError(ValueError):
@@ -103,7 +110,7 @@ def _check_description(
         if s not in seen:
             violations.append(f"capacity given for unknown stage {s!r}")
     for s, c in capacity.items():
-        if s in seen and c <= 0:
+        if s in seen and c.numerator <= 0:  # denominators are positive
             violations.append(
                 f"assumption 2 violated: capacity of stage {s!r} is {c} (must be > 0)"
             )
@@ -173,7 +180,7 @@ class Multiplier:
 
     def __init__(self, factor: Mapping[str, RationalInput]):
         f = {s: as_fraction(v) for s, v in factor.items()}
-        bad = {s: v for s, v in f.items() if v < 1}
+        bad = [s for s, v in f.items() if v.numerator < v.denominator]
         if bad:
             raise AdmissibilityError(
                 f"factors below 1 are inadmissible: {sorted(bad)}"
@@ -182,7 +189,7 @@ class Multiplier:
 
     @classmethod
     def identity(cls, p: Pipeline) -> "Multiplier":
-        return cls({s: Fraction(1) for s in p.stages})
+        return cls(dict.fromkeys(p.stages, ONE))
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.factor.items())))
@@ -249,16 +256,23 @@ def _capacity_argmin(p: Pipeline) -> tuple[int, int, list[str]]:
     return _argmin([(s, (c := cap[s]).numerator, c.denominator) for s in p.stages])
 
 
-def _perturbed_argmin(p: Pipeline, a: Multiplier) -> tuple[int, int, list[str]]:
-    """`_argmin` of factor * capacity over p's stages, after refusing an
-    inadmissible multiplier.  The products stay unreduced integer pairs."""
-    check_admissible(p, a)
+def _products(p: Pipeline, a: Multiplier,
+              stages: Iterable[str]) -> list[tuple[str, int, int]]:
+    """(stage, n, d) with n/d = factor * capacity, as the unreduced integer
+    pair of products, for each of `stages` in the order given."""
     cap, fac = p.capacity, a.factor
-    return _argmin([
+    return [
         (s, (c := cap[s]).numerator * (f := fac[s]).numerator,
          c.denominator * f.denominator)
-        for s in p.stages
-    ])
+        for s in stages
+    ]
+
+
+def _perturbed_argmin(p: Pipeline, a: Multiplier) -> tuple[int, int, list[str]]:
+    """`_argmin` of factor * capacity over p's stages, after refusing an
+    inadmissible multiplier."""
+    check_admissible(p, a)
+    return _argmin(_products(p, a, p.stages))
 
 
 def throughput(p: Pipeline) -> Fraction:

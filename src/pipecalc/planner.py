@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .model import (
+    ONE,
     Multiplier,
     Pipeline,
     RationalInput,
@@ -53,11 +54,12 @@ class CostModel:
     def __init__(self, unit_cost: Mapping[str, RationalInput],
                  budget: RationalInput):
         costs = {s: as_fraction(c) for s, c in unit_cost.items()}
-        bad = sorted(s for s, c in costs.items() if c <= 0)
+        # denominators are positive, so the numerator carries the sign
+        bad = sorted(s for s, c in costs.items() if c.numerator <= 0)
         if bad:
             raise CostModelError(f"unit costs must be > 0; offending: {bad}")
         b = as_fraction(budget)
-        if b < 0:
+        if b.numerator < 0:
             raise CostModelError(f"budget {b} must be >= 0")
         object.__setattr__(self, "unit_cost", MappingProxyType(costs))
         object.__setattr__(self, "budget", b)
@@ -102,7 +104,7 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
         factor_b = uncapped
     spent = c.unit_cost[b] * (factor_b - 1)
     mult = Multiplier(
-        {s: factor_b if s == b else Fraction(1) for s in p.stages}
+        {s: factor_b if s == b else ONE for s in p.stages}
     )
     return AllocationResult(
         multiplier=mult,
@@ -131,7 +133,7 @@ def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
             break
 
     mult = Multiplier(
-        {s: max(Fraction(1), target / p.capacity[s]) for s in p.stages}
+        {s: max(ONE, target / p.capacity[s]) for s in p.stages}
     )
     return AllocationResult(
         multiplier=mult,

@@ -165,10 +165,15 @@ class TestFp:
         ({"samples": "123"}, "'samples' must be a list"),
         ({"precision": {"family": "table", "investigation_capacity": "1",
                         "points": [["1", "1", "1"]]}}, "points must be"),
+        # refused even though no sample lies above it
+        ({"precision": {"family": "rational_decay", "coefficient": "1/10",
+                        "investigation_capacity": "-3"}, "samples": []},
+         "error: investigation capacity -3 must be > 0\n"),
     ], ids=["missing-fixed-fraction-key", "missing-level",
             "missing-precision-capacity", "missing-points",
             "fixed-fraction-not-object", "precision-not-object",
-            "root-not-object", "samples-not-list", "points-not-pairs"])
+            "root-not-object", "samples-not-list", "points-not-pairs",
+            "nonpositive-capacity-no-samples"])
     def test_malformed_model_file(self, tmp_path, capsys, model, message):
         path = tmp_path / "fp.json"
         path.write_text(json.dumps(model))

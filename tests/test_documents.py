@@ -2,7 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pipelines
 from pipecalc import (
@@ -132,9 +133,50 @@ class TestRoundTrip:
         doc = parse_document(EXAMPLE_DOC)
         assert serialize_document(doc) == serialize_document(doc)
 
+    # accepted: the exponent is within the bound, but 10**4300 has 4301 digits
+    @pytest.mark.parametrize("mutate, quantity", [
+        (lambda raw: raw["pipeline"]["stages"][0].update(capacity="1e4300"),
+         "capacity of stage 'a'"),
+        (lambda raw: raw["scenarios"]["boost"].update(b="1e4300"),
+         "factor of stage 'b' in 'boost'"),
+        (lambda raw: raw["authority"]["assist_bounds"].update(a="1e4300"),
+         "assist bound of stage 'a'"),
+    ], ids=["capacity", "factor", "assist-bound"])
+    def test_overlong_value_is_a_named_error(self, mutate, quantity):
+        raw = json.loads(EXAMPLE_DOC)
+        mutate(raw)
+        doc = parse_document(json.dumps(raw))
+        with pytest.raises(DocumentError) as info:
+            serialize_document(doc)
+        assert str(info.value) == f"{quantity} has too many digits to print exactly"
+
     @given(pipelines())
     def test_random_pipelines_round_trip(self, p):
         doc = document_for_pipeline(p, "generated")
         again = parse_document(serialize_document(doc))
         assert again.pipeline == p
         assert again.pipeline.stages == p.stages
+
+
+# factors at and just above 1, in several spellings; "1." followed by up to
+# 4298 zeros and a 1 is 1 + 10**-k with every digit written out
+FACTOR_TEXT = st.sampled_from(["1", "1.0", "10e-1", "5/4", "2", "1e4300"]) | st.builds(
+    lambda k: f"1.{'0' * k}1", st.integers(min_value=0, max_value=4298))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=8), st.data())
+def test_scenario_factor_is_given_value_or_one(named, data):
+    stages = [f"s{i}" for i, _ in enumerate(named)]
+    given_factors = {s: data.draw(FACTOR_TEXT) for s, n in zip(stages, named) if n}
+    doc = parse_document(json.dumps({
+        "format_version": "1",
+        "pipeline": {"name": "", "stages": [
+            {"id": s, "capacity": "1"} for s in stages]},
+        "scenarios": {"x": given_factors},
+    }))
+    factor = doc.scenarios["x"].factor
+    assert list(factor) == stages
+    for s in stages:
+        assert type(factor[s]) is Fraction
+        assert factor[s] == Fraction(given_factors.get(s, 1))

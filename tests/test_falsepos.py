@@ -127,6 +127,17 @@ class TestDeclineCheck:
         with pytest.raises(ModelValidationError):
             decline_check(p, 5, [15, 25])
 
+    @pytest.mark.parametrize("p, c_inv, samples", [
+        (RationalDecayPrecision(Fraction(1, 10)), -3, []),
+        (RationalDecayPrecision(Fraction(1, 10)), -3, [1, 2]),
+        (ConstantPrecision(Fraction(1, 2)), 0, []),
+    ], ids=["decay-no-samples", "decay-samples", "constant-no-samples"])
+    def test_nonpositive_capacity_refused(self, p, c_inv, samples):
+        # refused whether or not a sample lies above the capacity
+        with pytest.raises(DomainError,
+                           match=f"investigation capacity {c_inv} must be > 0"):
+            decline_check(p, c_inv, samples)
+
     def test_table_validated_only_above_capacity(self):
         # rises below the capacity, falls above it: still acceptable
         p = TablePrecision([(1, Fraction(1, 2)), (5, 1),

@@ -21,7 +21,9 @@ from pipecalc import (
     throughput,
     validate_pipeline,
 )
+from pipecalc.ceiling import ConfigurationError
 from pipecalc.characterize import scan_min
+from pipecalc.planner import CostModelError
 from pipecalc.model import as_fraction, check_admissible
 
 
@@ -315,3 +317,86 @@ def test_core_matches_fraction_oracle(pm):
     assert (set(before) - set(migr.departed)) | set(migr.entered) == after
     assert all(type(v) is Fraction for v in (
         throughput(p), rep.throughput, perturbed_throughput(p, a)))
+
+
+# -- constructor sign checks at the boundary ---------------------------------
+
+# 0, 1, their neighbours 1 ± 10**-k and ±10**-k up to k = 4300, and
+# negative values; from k = 4300 on, 10**k has too many digits to print.
+# A drawn (base, sign, k) stands for base + sign * 10**-k, so that no
+# unprintable Fraction appears in an example's repr
+K = st.integers(min_value=0, max_value=4300)
+BOUNDARY_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, -7, Fraction(0), Fraction(1), "0", "-0", "1",
+                     "1.000", "0/7", "-1e-4300", "1e-4300", "-1e4300"]),
+    st.tuples(st.sampled_from([0, 1]), st.sampled_from([-1, 1]), K),
+    st.builds(lambda k, sign: f"{sign}e-{k}", K, st.sampled_from([-1, 1])),
+)
+
+
+def _boundary_value(v):
+    if isinstance(v, tuple):
+        base, sign, k = v
+        return base + sign * Fraction(1, 10 ** k)
+    return v
+
+
+def _outcome(build):
+    """(exception type, message) of the ValueError build() raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _raise(exc):
+    raise exc
+
+
+def _fraction_outcome(refused: bool, error, message):
+    """What a constructor that decided `refused` by Fraction comparison did:
+    raise `error(message())`, unless formatting the message hit CPython's
+    int-to-text digit limit first."""
+    if not refused:
+        return None
+    return _outcome(lambda: _raise(error(message())))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(BOUNDARY_VALUES, min_size=1, max_size=3))
+@example([(1, -1, 4300)])
+@example([(0, 1, 4300), (0, -1, 4299), 1])
+@example([(1, 1, 4300), (0, -1, 4300)])
+def test_sign_checks_match_fraction_comparison(drawn):
+    # the constructors read signs off numerators and denominators; they
+    # refuse exactly what `<`/`<=` against 0 and 1 refused, with the same
+    # message, and check in the same order
+    values = [_boundary_value(v) for v in drawn]
+    stages = [f"s{i}" for i in range(len(values))]
+    raw = dict(zip(stages, values))
+    exact = {s: as_fraction(v) for s, v in raw.items()}
+    nonpositive = [s for s in stages if exact[s] <= 0]
+    below_one = sorted(s for s in stages if exact[s] < 1)
+
+    assert _outcome(lambda: Pipeline(stages, raw)) == _fraction_outcome(
+        bool(nonpositive),
+        lambda m: PipelineValidationError(ValidationReport((m,))),
+        lambda: "; ".join(
+            f"assumption 2 violated: capacity of stage {s!r} is {exact[s]} "
+            "(must be > 0)" for s in nonpositive))
+    assert _outcome(lambda: Multiplier(raw)) == _fraction_outcome(
+        bool(below_one), AdmissibilityError,
+        lambda: f"factors below 1 are inadmissible: {below_one}")
+    assert _outcome(lambda: AuthoritySpec(stages, raw)) == _fraction_outcome(
+        bool(below_one), ConfigurationError,
+        lambda: f"assist bounds below 1: {below_one}")
+    # unit costs are checked before the budget
+    assert _outcome(lambda: CostModel(raw, values[0])) == (
+        _fraction_outcome(
+            True, CostModelError,
+            lambda: f"unit costs must be > 0; offending: {sorted(nonpositive)}")
+        if nonpositive else None)
+    for v, b in zip(values, exact.values()):
+        assert _outcome(lambda: CostModel({"a": 1}, v)) == _fraction_outcome(
+            b < 0, CostModelError, lambda: f"budget {b} must be >= 0")
