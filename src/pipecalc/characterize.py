@@ -10,6 +10,9 @@ both sides:
     factor and every perturbed bottleneck value stays strictly below every
     perturbed non-bottleneck value.
 
+`classify`, `preservation_report` and `migration_decomposition` are
+projections of one pass over the (pipeline, multiplier) pair, `_analyse`,
+which `cli perturb` and `verify_characterizations` read whole.
 `verify_characterizations` recomputes both sides of each equivalence from
 first principles and reports any disagreement as an internal defect with all
 intermediate values attached.
@@ -26,12 +29,9 @@ from .model import (
     Multiplier,
     Pipeline,
     _argmin,
-    _perturbed_argmin,
+    _capacity_argmin,
     _products,
-    bottleneck_report,
-    bottleneck_set,
     check_admissible,
-    perturbed_throughput,
 )
 
 
@@ -87,66 +87,68 @@ class MigrationDecomposition:
         return not self.departed and not self.entered
 
 
-def classify(p: Pipeline, a: Multiplier) -> PerturbationClassification:
-    rep = bottleneck_report(p)
-    base, bottlenecks = rep.throughput, rep.bottlenecks
-    new = perturbed_throughput(p, a)  # refuses an inadmissible multiplier
-    unchanged_pred = any(a.factor[s] == 1 for s in bottlenecks)
-    strict_pred = all(a.factor[s] > 1 for s in bottlenecks)
-    outcome = Outcome.UNCHANGED if new == base else Outcome.STRICT_INCREASE
-    witness = None
-    if outcome is Outcome.UNCHANGED:
-        witness = next(s for s in bottlenecks if a.factor[s] == 1)
-    return PerturbationClassification(
-        outcome=outcome,
-        unchanged_predicate=unchanged_pred,
-        strict_predicate=strict_pred,
-        witness=witness,
-        base_throughput=base,
-        new_throughput=new,
+def _analyse(
+    p: Pipeline, a: Multiplier
+) -> tuple[PerturbationClassification, PreservationReport, MigrationDecomposition]:
+    """The three reports on one perturbation, from a single pass: one
+    admissibility check, one capacity minimum, and one list of perturbed
+    products with its minimum.  Minima, ties and the unchanged test are
+    decided on integer pairs."""
+    check_admissible(p, a)
+    base_n, base_d, bottlenecks = _capacity_argmin(p)
+    products = _products(p, a, p.stages)
+    new_n, new_d, new_bottlenecks = _argmin(products)
+    before, after = frozenset(bottlenecks), frozenset(new_bottlenecks)
+    fac = a.factor
+
+    unchanged = new_n * base_d == base_n * new_d
+    classification = PerturbationClassification(
+        outcome=Outcome.UNCHANGED if unchanged else Outcome.STRICT_INCREASE,
+        unchanged_predicate=any(fac[s] == 1 for s in bottlenecks),
+        strict_predicate=all(fac[s] > 1 for s in bottlenecks),
+        witness=(next(s for s in bottlenecks if fac[s] == 1)
+                 if unchanged else None),
+        base_throughput=p.capacity[bottlenecks[0]],
+        new_throughput=Fraction(new_n, new_d),
     )
 
-
-def _bottlenecks_before_after(
-    p: Pipeline, a: Multiplier
-) -> tuple[frozenset[str], frozenset[str]]:
-    # the perturbed ties come straight from the products; no perturbed
-    # pipeline is built.  _perturbed_argmin refuses an inadmissible multiplier
-    return bottleneck_set(p), frozenset(_perturbed_argmin(p, a)[2])
-
-
-def preservation_report(p: Pipeline, a: Multiplier) -> PreservationReport:
-    before, after = _bottlenecks_before_after(p, a)
-    preserved = before == after
-
-    factors = {a.factor[s] for s in before}
+    factors = {fac[s] for s in bottlenecks}
     condition_i = len(factors) == 1
-    common = next(iter(factors)) if condition_i else None
-
-    rest = [s for s in p.stages if s not in before]
+    rest = [t for t in products if t[0] not in before]
     if rest:
         # the largest bottleneck product is the smallest of the negated
         # ones; both sides stay unreduced integer pairs (n, d) with d > 0
         neg_n, worst_d, _ = _argmin(
-            [(s, -n, d) for s, n, d in _products(p, a, before)])
-        best_n, best_d, _ = _argmin(_products(p, a, rest))
+            [(s, -n, d) for s, n, d in products if s in before])
+        best_n, best_d, _ = _argmin(rest)
         condition_ii = -neg_n * best_d < best_n * worst_d
     else:
         condition_ii = True
-
-    return PreservationReport(
-        preserved=preserved,
+    preservation = PreservationReport(
+        preserved=before == after,
         condition_i=condition_i,
         condition_ii=condition_ii,
-        common_factor=common,
+        common_factor=next(iter(factors)) if condition_i else None,
     )
+
+    # both argmins list their stages in stage order
+    migration = MigrationDecomposition(
+        departed=tuple(s for s in bottlenecks if s not in after),
+        entered=tuple(s for s in new_bottlenecks if s not in before),
+    )
+    return classification, preservation, migration
+
+
+def classify(p: Pipeline, a: Multiplier) -> PerturbationClassification:
+    return _analyse(p, a)[0]
+
+
+def preservation_report(p: Pipeline, a: Multiplier) -> PreservationReport:
+    return _analyse(p, a)[1]
 
 
 def migration_decomposition(p: Pipeline, a: Multiplier) -> MigrationDecomposition:
-    before, after = _bottlenecks_before_after(p, a)
-    departed = tuple(s for s in p.stages if s in before and s not in after)
-    entered = tuple(s for s in p.stages if s in after and s not in before)
-    return MigrationDecomposition(departed=departed, entered=entered)
+    return _analyse(p, a)[2]
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def scan_min(values) -> Fraction:
 
 
 def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerdict:
-    check_admissible(p, a)
+    cls, rep, decomp = _analyse(p, a)  # refuses an inadmissible multiplier
     caps = [p.capacity[s] for s in p.stages]
     base = scan_min(caps)
     new = scan_min([a.factor[s] * p.capacity[s] for s in p.stages])
@@ -200,7 +202,6 @@ def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerd
         failures.append("strict-increase equivalence violated")
 
     # classification consistency against the predicate route
-    cls = classify(p, a)
     if cls.unchanged_predicate != exists_one or cls.strict_predicate != all_above:
         failures.append("classification predicates disagree with brute force")
     if (cls.outcome is Outcome.UNCHANGED) != (new == base):
@@ -211,7 +212,6 @@ def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerd
         failures.append("classification witness is not a factor-1 bottleneck")
 
     # preservation iff (i) and (ii)
-    rep = preservation_report(p, a)
     cond_i = len({a.factor[s] for s in before}) == 1
     cond_ii = all(
         a.factor[u] * p.capacity[u] < a.factor[w] * p.capacity[w]
@@ -225,7 +225,6 @@ def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerd
         failures.append("preservation report disagrees with brute force")
 
     # migration iff the decomposition is nonempty
-    decomp = migration_decomposition(p, a)
     if decomp.empty != (before == after):
         failures.append("migration decomposition disagrees with set equality")
     if set(decomp.departed) != before - after or set(decomp.entered) != after - before:

@@ -31,11 +31,7 @@ from .ceiling import (
     generalized_ceiling,
     tightness_witness,
 )
-from .characterize import (
-    classify,
-    migration_decomposition,
-    preservation_report,
-)
+from .characterize import _analyse
 from .documents import DocumentError, _exact, _text, load_document
 from .falsepos import (
     ConstantPrecision,
@@ -86,9 +82,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_perturb(args) -> int:
     doc = load_document(args.file)
     mult = doc.scenario(args.scenario)
-    cls = classify(doc.pipeline, mult)
-    pres = preservation_report(doc.pipeline, mult)
-    migr = migration_decomposition(doc.pipeline, mult)
+    cls, pres, migr = _analyse(doc.pipeline, mult)
     base = _text(cls.base_throughput, "base throughput")
     new = _text(cls.new_throughput, "new throughput")
     common = (None if pres.common_factor is None
@@ -220,6 +214,8 @@ def _cmd_fp(args) -> int:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:  # bad JSON, or an over-long integer
         raise DocumentError(f"cannot read model file: {exc}") from None
+    except RecursionError:
+        raise DocumentError("cannot read model file: nesting is too deep") from None
     if not isinstance(cfg, dict):
         raise DocumentError("model file root must be an object")
     raw_samples = cfg.get("samples", [])

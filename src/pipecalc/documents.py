@@ -90,6 +90,8 @@ def parse_document(text: str) -> PipelineDocument:
         raw = json.loads(text)
     except ValueError as exc:  # bad JSON, or an over-long integer
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nesting is too deep") from None
     if not isinstance(raw, dict):
         raise DocumentError("document root must be an object")
 

@@ -29,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-from .model import RationalInput, as_fraction
+from .model import RationalInput, _shown, as_fraction
 
 # evaluation context for the one non-rational family
 _DEC = decimal.Context(prec=34)
@@ -60,9 +60,10 @@ class FixedFractionModel:
         f = as_fraction(false_positive_fraction)
         c = as_fraction(investigation_capacity)
         if not 0 <= f < 1:
-            raise ModelValidationError(f"fraction {f} outside [0, 1)")
+            raise ModelValidationError(f"fraction {_shown(f)} outside [0, 1)")
         if c <= 0:
-            raise ModelValidationError(f"investigation capacity {c} must be > 0")
+            raise ModelValidationError(
+                f"investigation capacity {_shown(c)} must be > 0")
         object.__setattr__(self, "false_positive_fraction", f)
         object.__setattr__(self, "investigation_capacity", c)
 
@@ -71,7 +72,7 @@ def simple_useful(lam: RationalInput, m: FixedFractionModel) -> Fraction:
     """(1 - fraction) * min(rate, capacity), exactly."""
     lam = as_fraction(lam)
     if lam <= 0:
-        raise DomainError(f"rate {lam} must be > 0")
+        raise DomainError(f"rate {_shown(lam)} must be > 0")
     return _simple_useful(lam, m)
 
 
@@ -94,7 +95,7 @@ def plateau_check(m: FixedFractionModel, lambdas) -> PlateauVerdict:
     low = [x for x in samples if x <= m.investigation_capacity]
     if low:
         raise DomainError(
-            f"samples must exceed the investigation capacity; got {low[:3]}"
+            f"samples must exceed the investigation capacity; got {_shown(low[:3])}"
         )
     expected = (1 - m.false_positive_fraction) * m.investigation_capacity
     # every sample exceeds a positive capacity, so each is in the domain
@@ -115,7 +116,7 @@ class ConstantPrecision:
     def __init__(self, level: RationalInput):
         f = as_fraction(level)
         if not 0 <= f <= 1:
-            raise ModelValidationError(f"precision level {f} outside [0, 1]")
+            raise ModelValidationError(f"precision level {_shown(f)} outside [0, 1]")
         object.__setattr__(self, "level", f)
 
     def value(self, lam: Fraction) -> Fraction:
@@ -135,7 +136,7 @@ class RationalDecayPrecision:
     def __init__(self, rate_coefficient: RationalInput):
         k = as_fraction(rate_coefficient)
         if k <= 0:
-            raise ModelValidationError(f"decay coefficient {k} must be > 0")
+            raise ModelValidationError(f"decay coefficient {_shown(k)} must be > 0")
         object.__setattr__(self, "rate_coefficient", k)
 
     def value(self, lam: Fraction) -> Fraction:
@@ -159,7 +160,7 @@ class ExponentialDecayPrecision:
     def __init__(self, rate_coefficient: RationalInput):
         k = as_fraction(rate_coefficient)
         if k <= 0:
-            raise ModelValidationError(f"decay coefficient {k} must be > 0")
+            raise ModelValidationError(f"decay coefficient {_shown(k)} must be > 0")
         object.__setattr__(self, "rate_coefficient", k)
 
     def value(self, lam: Fraction) -> Decimal:
@@ -196,7 +197,8 @@ class TablePrecision:
                 )
         bad = [p for _, p in pts if not 0 <= p <= 1]
         if bad:
-            raise ModelValidationError(f"table precisions outside [0, 1]: {bad}")
+            raise ModelValidationError(
+                f"table precisions outside [0, 1]: {_shown(bad)}")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -206,7 +208,8 @@ class TablePrecision:
     def value(self, lam: Fraction) -> Fraction:
         lo, hi = self.span
         if not lo <= lam <= hi:
-            raise DomainError(f"rate {lam} outside table span [{lo}, {hi}]")
+            raise DomainError(f"rate {_shown(lam)} outside table span "
+                              f"[{_shown(lo)}, {_shown(hi)}]")
         for (l1, p1), (l2, p2) in zip(self.points, self.points[1:]):
             if l1 <= lam <= l2:
                 return p1 + (p2 - p1) * (lam - l1) / (l2 - l1)
@@ -229,13 +232,13 @@ PrecisionFunction = Union[
 
 def _check_domain(lam: Fraction, c_inv: Fraction) -> None:
     if lam <= 0:
-        raise DomainError(f"rate {lam} must be > 0")
+        raise DomainError(f"rate {_shown(lam)} must be > 0")
     _check_capacity(c_inv)
 
 
 def _check_capacity(c_inv: Fraction) -> None:
     if c_inv <= 0:
-        raise DomainError(f"investigation capacity {c_inv} must be > 0")
+        raise DomainError(f"investigation capacity {_shown(c_inv)} must be > 0")
 
 
 def repaired_useful(
@@ -277,7 +280,7 @@ def decline_check(
     low = [x for x in samples if x <= c_inv]
     if low:
         raise DomainError(
-            f"samples must exceed the investigation capacity; got {low[:3]}"
+            f"samples must exceed the investigation capacity; got {_shown(low[:3])}"
         )
 
     constant = isinstance(p, ConstantPrecision)

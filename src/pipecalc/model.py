@@ -13,8 +13,9 @@ integer cross-multiplication of numerators and denominators (`_argmin`),
 which is exact and builds no intermediate Fraction; every result returned
 is still a Fraction.  The constructors' sign checks (capacity > 0, factor
 >= 1, and their relatives in `ceiling` and `planner`) read the sign off the
-normalised numerator and denominator, and `characterize` decides
-preservation's separation test on unreduced integer pairs in the same way.
+normalised numerator and denominator, and `characterize` decides whether
+throughput changed, and preservation's separation test, on unreduced integer
+pairs in the same way.
 
 Model assumptions enforced by validation (numbered for report output):
   1. the stage set is finite and nonempty;
@@ -40,6 +41,16 @@ MAX_EXPONENT = 4300
 # the factor of a stage left unimproved; Fractions are immutable, so every
 # default factor is this one value and none is built per stage
 ONE = Fraction(1)
+
+
+def _shown(value) -> str:
+    """`value` as text for a refusal message, or a fixed stand-in when it is
+    too long for CPython's int-to-text limit, so the refusal itself never
+    fails."""
+    try:
+        return str(value)
+    except ValueError:  # the int-string digit limit
+        return f"<a value of more than {MAX_EXPONENT} digits>"
 
 
 class PipelineValidationError(ValueError):
@@ -112,7 +123,8 @@ def _check_description(
     for s, c in capacity.items():
         if s in seen and c.numerator <= 0:  # denominators are positive
             violations.append(
-                f"assumption 2 violated: capacity of stage {s!r} is {c} (must be > 0)"
+                f"assumption 2 violated: capacity of stage {s!r} is "
+                f"{_shown(c)} (must be > 0)"
             )
     return violations
 
@@ -268,13 +280,6 @@ def _products(p: Pipeline, a: Multiplier,
     ]
 
 
-def _perturbed_argmin(p: Pipeline, a: Multiplier) -> tuple[int, int, list[str]]:
-    """`_argmin` of factor * capacity over p's stages, after refusing an
-    inadmissible multiplier."""
-    check_admissible(p, a)
-    return _argmin(_products(p, a, p.stages))
-
-
 def throughput(p: Pipeline) -> Fraction:
     """Minimum stage capacity.  Always exists and is > 0."""
     return p.capacity[_capacity_argmin(p)[2][0]]
@@ -311,5 +316,6 @@ def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:
     """Throughput after perturbation, computed directly as
     min over stages of factor * capacity, without building the perturbed
     pipeline."""
-    n, d, _ = _perturbed_argmin(p, a)
+    check_admissible(p, a)
+    n, d, _ = _argmin(_products(p, a, p.stages))
     return Fraction(n, d)

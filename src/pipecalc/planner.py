@@ -29,6 +29,7 @@ from .model import (
     Multiplier,
     Pipeline,
     RationalInput,
+    _shown,
     as_fraction,
     bottleneck_report,
     perturbed_throughput,
@@ -60,7 +61,7 @@ class CostModel:
             raise CostModelError(f"unit costs must be > 0; offending: {bad}")
         b = as_fraction(budget)
         if b.numerator < 0:
-            raise CostModelError(f"budget {b} must be >= 0")
+            raise CostModelError(f"budget {_shown(b)} must be >= 0")
         object.__setattr__(self, "unit_cost", MappingProxyType(costs))
         object.__setattr__(self, "budget", b)
 

@@ -1,7 +1,10 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given
 
+import pipecalc.model as model
 from conftest import pipeline_with_multiplier, pipelines
 from pipecalc import (
     Multiplier,
@@ -16,6 +19,8 @@ from pipecalc import (
     throughput,
     verify_characterizations,
 )
+from pipecalc.cli import main
+from test_documents import EXAMPLE_DOC
 
 
 class TestClassify:
@@ -117,6 +122,38 @@ class TestVerifyCharacterizations:
         assert not v.passed
         assert v.failures
         assert "capacities" in v.detail
+
+
+def test_one_pass_per_perturbation(example_pipeline, tmp_path, monkeypatch,
+                                   capsys):
+    # every pipecalc module that holds one of these names calls a counting
+    # wrapper instead, so calls made inside model are counted as well
+    names = ("check_admissible", "_capacity_argmin", "_products")
+    counts = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    for name in names:
+        original = getattr(model, name)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.partition(".")[0] == "pipecalc"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, wrapper)
+
+    path = tmp_path / "pipeline.json"
+    path.write_text(EXAMPLE_DOC)
+    assert main(["perturb", str(path), "--scenario", "boost"]) == 0
+    assert dict(counts) == dict.fromkeys(names, 1)
+
+    counts.clear()
+    a = Multiplier({"a": 2, "b": 1, "c": 5})
+    assert verify_characterizations(example_pipeline, a).passed
+    assert dict(counts) == dict.fromkeys(names, 1)
 
 
 # -- properties --------------------------------------------------------------

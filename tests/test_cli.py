@@ -318,6 +318,43 @@ class TestOverlongResults:
         assert captured.out == ""
         assert f"error: {quantity} has too many digits" in captured.err
 
+    # "-1e-4300" is exact, inside the exponent bound, and its denominator
+    # 10**4300 has 4301 digits; the refusal still names the quantity
+    @pytest.mark.parametrize("capacity, argv, quantity", [
+        ("-1e-4300", ["analyze", "{doc}"], "capacity of stage 'a' is"),
+        ("3", ["plan", "{doc}", "--budget=-1e-4300"], "budget"),
+        ("3", ["fp", "{model}"], "investigation capacity"),
+    ], ids=["analyze-capacity", "plan-budget", "fp-investigation-capacity"])
+    def test_refusal_quoting_overlong_value(self, tmp_path, capsys, capacity,
+                                            argv, quantity):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({
+            "format_version": "1",
+            "pipeline": {"name": "", "stages": [
+                {"id": "a", "capacity": capacity}]},
+        }))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"precision": {
+            "family": "rational_decay", "coefficient": "1/10",
+            "investigation_capacity": "-1e-4300"}}))
+        argv = [a.format(doc=doc, model=model) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert quantity in captured.err
+        assert "more than 4300 digits" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "fp"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "nesting is too deep" in err
+    assert "Traceback" not in err
+
 
 # -- fuzzing the input boundary ----------------------------------------------
 

@@ -355,12 +355,19 @@ def _raise(exc):
 
 
 def _fraction_outcome(refused: bool, error, message):
-    """What a constructor that decided `refused` by Fraction comparison did:
-    raise `error(message())`, unless formatting the message hit CPython's
-    int-to-text digit limit first."""
+    """What a constructor that decided `refused` by Fraction comparison
+    does: raise `error(message())`."""
     if not refused:
         return None
     return _outcome(lambda: _raise(error(message())))
+
+
+def _quoted(v: Fraction) -> str:
+    """How a refusal quotes v: its exact text, or a fixed stand-in when its
+    numerator or denominator has more digits than CPython prints."""
+    if max(abs(v.numerator), v.denominator) >= 10 ** 4300:
+        return "<a value of more than 4300 digits>"
+    return str(v)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -383,7 +390,7 @@ def test_sign_checks_match_fraction_comparison(drawn):
         bool(nonpositive),
         lambda m: PipelineValidationError(ValidationReport((m,))),
         lambda: "; ".join(
-            f"assumption 2 violated: capacity of stage {s!r} is {exact[s]} "
+            f"assumption 2 violated: capacity of stage {s!r} is {_quoted(exact[s])} "
             "(must be > 0)" for s in nonpositive))
     assert _outcome(lambda: Multiplier(raw)) == _fraction_outcome(
         bool(below_one), AdmissibilityError,
@@ -399,4 +406,4 @@ def test_sign_checks_match_fraction_comparison(drawn):
         if nonpositive else None)
     for v, b in zip(values, exact.values()):
         assert _outcome(lambda: CostModel({"a": 1}, v)) == _fraction_outcome(
-            b < 0, CostModelError, lambda: f"budget {b} must be >= 0")
+            b < 0, CostModelError, lambda: f"budget {_quoted(b)} must be >= 0")
