@@ -221,6 +221,11 @@ def _cmd_fp(args) -> int:
     raw_samples = cfg.get("samples", [])
     if not isinstance(raw_samples, list):
         raise DocumentError("model file 'samples' must be a list")
+    if "fixed_fraction" not in cfg and "precision" not in cfg:
+        raise DocumentError(
+            "model file has neither a 'fixed_fraction' nor a 'precision' "
+            "section, so there is nothing to check"
+        )
 
     payload: dict = {}
     lines: list[str] = []

@@ -39,6 +39,9 @@ from .model import (
 
 FORMAT_VERSION = "1"
 
+# the most characters of a raw JSON value that a refusal message quotes
+_QUOTE_LIMIT = 60
+
 
 class DocumentError(ValueError):
     """A document fails to parse or violates the schema."""
@@ -74,6 +77,16 @@ def _text(value, quantity: str) -> str:
         ) from None
 
 
+def _quoted(value) -> str:
+    """repr of a raw JSON value for a refusal message, cut after
+    _QUOTE_LIMIT characters so that a malformed value of any size or depth
+    is not echoed back whole; a shorter repr is quoted as is."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... (a {type(value).__name__}, cut)"
+
+
 def _exact(text, what: str) -> Fraction:
     try:
         return as_fraction(text)  # refuses bools and floats too
@@ -98,7 +111,8 @@ def parse_document(text: str) -> PipelineDocument:
     version = raw.get("format_version")
     if version != FORMAT_VERSION:
         raise DocumentError(
-            f"unsupported format_version {version!r} (expected {FORMAT_VERSION!r})"
+            f"unsupported format_version {_quoted(version)} "
+            f"(expected {FORMAT_VERSION!r})"
         )
 
     pipe_raw = raw.get("pipeline")
@@ -106,7 +120,7 @@ def parse_document(text: str) -> PipelineDocument:
         raise DocumentError("missing pipeline.stages")
     name = pipe_raw.get("name", "")
     if not isinstance(name, str):
-        raise DocumentError(f"pipeline.name {name!r} must be text")
+        raise DocumentError(f"pipeline.name {_quoted(name)} must be text")
     stage_records = pipe_raw["stages"]
     if not isinstance(stage_records, list):
         raise DocumentError("pipeline.stages must be a list of stage records")
@@ -114,10 +128,11 @@ def parse_document(text: str) -> PipelineDocument:
     capacity = {}
     for rec in stage_records:
         if not isinstance(rec, dict) or "id" not in rec or "capacity" not in rec:
-            raise DocumentError(f"stage record {rec!r} needs 'id' and 'capacity'")
+            raise DocumentError(
+                f"stage record {_quoted(rec)} needs 'id' and 'capacity'")
         sid = rec["id"]
         if not isinstance(sid, str):
-            raise DocumentError(f"stage id {sid!r} must be text")
+            raise DocumentError(f"stage id {_quoted(sid)} must be text")
         stages.append(sid)
         capacity[sid] = _exact(rec["capacity"], f"capacity of stage {sid!r}")
 

@@ -13,6 +13,13 @@ how much to improve each stage.  Two allocators:
     sorted capacities, so one sweep in capacity order solves
     cost(t) = budget exactly.
 
+The sweep orders the stages by the integer key floor(c * 2**64), which never
+decreases as c grows, and compares the capacities themselves only where two
+keys tie: exactly capacity order, with no float and no common denominator.
+Only the first k stages of that order, the ones the sweep raises to t, are
+divided and costed; every later stage already has capacity at least t, keeps
+factor 1 and adds nothing to the spend.
+
 Cost linear in (factor - 1) is a modelling choice; the max-min sweep's
 closed form for each segment relies on it.
 """
@@ -29,6 +36,7 @@ from .model import (
     Multiplier,
     Pipeline,
     RationalInput,
+    _argmin,
     _shown,
     as_fraction,
     bottleneck_report,
@@ -68,7 +76,7 @@ class CostModel:
     @classmethod
     def uniform(cls, p: Pipeline, budget: RationalInput,
                 unit_cost: RationalInput = 1) -> "CostModel":
-        return cls({s: unit_cost for s in p.stages}, budget)
+        return cls(dict.fromkeys(p.stages, as_fraction(unit_cost)), budget)
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,8 @@ class AllocationResult:
 
 
 def _check_domain(p: Pipeline, c: CostModel) -> None:
-    if set(c.unit_cost) != set(p.stages):
+    # a valid pipeline's capacity domain is its stage set
+    if c.unit_cost.keys() != p.capacity.keys():
         raise CostModelError("cost model domain must equal the stage set")
 
 
@@ -95,18 +104,19 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
             f"bottlenecks {sorted(rep.bottlenecks)} are tied; improving all "
             "but one of them changes nothing — use maxmin_allocation"
         )
+    cap = p.capacity
     b = rep.bottlenecks[0]
-    cap_b = p.capacity[b]
     uncapped = 1 + c.budget / c.unit_cost[b]
     if rep.non_bottlenecks:
-        second = min(p.capacity[s] for s in rep.non_bottlenecks)
-        factor_b = min(uncapped, second / cap_b)
+        runner_up = _argmin([(s, (x := cap[s]).numerator, x.denominator)
+                             for s in rep.non_bottlenecks])[2][0]
+        factor_b = min(uncapped, cap[runner_up] / cap[b])
     else:
         factor_b = uncapped
     spent = c.unit_cost[b] * (factor_b - 1)
-    mult = Multiplier(
-        {s: factor_b if s == b else ONE for s in p.stages}
-    )
+    factors = dict.fromkeys(p.stages, ONE)
+    factors[b] = factor_b
+    mult = Multiplier(factors)
     return AllocationResult(
         multiplier=mult,
         achieved_throughput=perturbed_throughput(p, mult),
@@ -124,20 +134,30 @@ def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     (max-min fair water filling).
     """
     _check_domain(p, c)
-    ordered = sorted(p.stages, key=p.capacity.__getitem__)
+    cap, cost = p.capacity, c.unit_cost
+    # floor(x * 2**64) never decreases as x grows, so the int decides the
+    # order wherever it differs and the Fraction breaks its ties; sorted is
+    # stable, so this is exactly the order of sorting by capacity
+    ordered = sorted(
+        p.stages,
+        key=lambda s: (((x := cap[s]).numerator << 64) // x.denominator, x),
+    )
     raised_cost = raised_weight = Fraction(0)
     for k, s in enumerate(ordered, start=1):
-        raised_cost += c.unit_cost[s]
-        raised_weight += c.unit_cost[s] / p.capacity[s]
+        raised_cost += cost[s]
+        raised_weight += cost[s] / cap[s]
         target = (c.budget + raised_cost) / raised_weight
-        if k == len(ordered) or target <= p.capacity[ordered[k]]:
+        if k == len(ordered) or target <= cap[ordered[k]]:
             break
 
-    mult = Multiplier(
-        {s: max(ONE, target / p.capacity[s]) for s in p.stages}
-    )
+    # target <= every capacity past the first k, whose factors stay 1
+    factors = dict.fromkeys(p.stages, ONE)
+    raised = ordered[:k]
+    for s in raised:
+        factors[s] = max(ONE, target / cap[s])
+    mult = Multiplier(factors)
     return AllocationResult(
         multiplier=mult,
         achieved_throughput=perturbed_throughput(p, mult),
-        spent=sum(c.unit_cost[s] * (f - 1) for s, f in mult.factor.items()),
+        spent=sum(cost[s] * (factors[s] - 1) for s in raised),
     )

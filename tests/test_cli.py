@@ -180,6 +180,18 @@ class TestFp:
         assert main(["fp", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "{}", json.dumps({"samples": ["20", "40"]}), EXAMPLE_DOC,
+    ], ids=["empty", "samples-only", "pipeline-document"])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_nothing_to_check_refused(self, tmp_path, capsys, text, fmt):
+        path = tmp_path / "fp.json"
+        path.write_text(text)
+        assert main(["fp", str(path), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "neither a 'fixed_fraction' nor a 'precision' section" in captured.err
+
 
 class TestPlan:
     def test_budget_one(self, doc_path, capsys):

@@ -90,6 +90,40 @@ class TestParse:
         with pytest.raises(DocumentError, match=message):
             parse_document(json.dumps(raw))
 
+    # a malformed value is quoted cut short, not echoed back whole
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["pipeline"]["stages"].__setitem__(
+            0, json.loads("[" * 900 + "]" * 900)), "stage record"),
+        (lambda d: d["pipeline"].__setitem__("name", list(range(2000))),
+         "pipeline.name"),
+        (lambda d: d.__setitem__("format_version", list(range(2000))),
+         "unsupported format_version"),
+        (lambda d: d["pipeline"]["stages"].__setitem__(
+            0, {"id": list(range(2000)), "capacity": "3"}), "stage id"),
+    ], ids=["deep-stage-record", "long-name", "long-format-version",
+            "long-stage-id"])
+    def test_refusal_quotes_a_bounded_value(self, mutate, message):
+        raw = json.loads(EXAMPLE_DOC)
+        mutate(raw)
+        with pytest.raises(DocumentError, match=message) as info:
+            parse_document(json.dumps(raw))
+        assert len(str(info.value)) < 300
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["pipeline"]["stages"].__setitem__(0, {"id": "a"}),
+         "stage record {'id': 'a'} needs 'id' and 'capacity'"),
+        (lambda d: d["pipeline"].__setitem__("name", ["x", 2]),
+         "pipeline.name ['x', 2] must be text"),
+        (lambda d: d.__setitem__("format_version", 2),
+         "unsupported format_version 2 (expected '1')"),
+    ], ids=["stage-record", "name", "format-version"])
+    def test_refusal_quotes_a_short_value_whole(self, mutate, message):
+        raw = json.loads(EXAMPLE_DOC)
+        mutate(raw)
+        with pytest.raises(DocumentError) as info:
+            parse_document(json.dumps(raw))
+        assert str(info.value) == message
+
     def test_not_json(self):
         with pytest.raises(DocumentError, match="JSON"):
             parse_document("{nope")

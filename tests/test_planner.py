@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fractions, pipelines
@@ -148,3 +148,79 @@ def test_nonuniform_costs_spend_budget_exactly(p, data, budget):
     res = maxmin_allocation(p, CostModel(unit_cost, budget))
     assert res.spent == budget
     assert cost_to_reach(p, unit_cost, res.achieved_throughput) == budget
+
+
+# capacities the planner must order exactly: ordinary fractions, values below
+# 1, and values near 10**300 and 10**-300 (floor(c * 2**64) is 0 for all of
+# the latter, so only an exact comparison orders them)
+CAPACITY_BASES = st.one_of(
+    fractions(),
+    st.builds(Fraction, st.just(1), st.integers(min_value=2, max_value=1000)),
+    st.builds(lambda a, b: Fraction(10**300 + a, b),
+              st.integers(min_value=0, max_value=9),
+              st.integers(min_value=1, max_value=9)),
+    st.builds(lambda a, b: Fraction(a, 10**300 + b),
+              st.integers(min_value=1, max_value=9),
+              st.integers(min_value=0, max_value=9)),
+)
+
+
+@st.composite
+def hard_capacities(draw):
+    """Capacities with exact ties and pairs closer than 2**-64, in a drawn
+    stage order."""
+    caps = []
+    for x in draw(st.lists(CAPACITY_BASES, min_size=1, max_size=4)):
+        caps.append(x)
+        kind = draw(st.sampled_from(["alone", "tie", "close"]))
+        if kind == "tie":
+            caps.append(x)
+        elif kind == "close":
+            gap = Fraction(1, 2**64 * draw(st.integers(min_value=2, max_value=9)))
+            caps.append(x + gap)
+    return draw(st.permutations(caps))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(hard_capacities(), st.data())
+def test_water_level_on_hard_capacities(caps, data):
+    stages = tuple(f"s{i}" for i in range(len(caps)))
+    p = Pipeline(stages, dict(zip(stages, caps)))
+    unit_cost = {s: data.draw(fractions(max_num=10, max_den=4)) for s in stages}
+    # a water level at a capacity, strictly between two neighbouring
+    # capacities (inside a gap below 2**-64 too), or above them all; the
+    # budget is exactly its cost, so it is the unique optimum
+    levels = sorted(set(caps))
+    i = data.draw(st.integers(min_value=0, max_value=len(levels) - 1))
+    where = data.draw(st.sampled_from(["at", "above"]))
+    if where == "at":
+        level = levels[i]
+    elif i + 1 < len(levels):
+        level = (levels[i] + levels[i + 1]) / 2
+    else:
+        level = levels[i] * 2
+    budget = cost_to_reach(p, unit_cost, level)
+    res = maxmin_allocation(p, CostModel(unit_cost, budget))
+    t = res.achieved_throughput
+    assert t == level
+    assert res.multiplier.factor == {
+        s: max(Fraction(1), t / p.capacity[s]) for s in stages}
+    assert res.spent == budget == cost_to_reach(p, unit_cost, t)
+
+    lowest = min(caps)
+    bottlenecks = [s for s in stages if p.capacity[s] == lowest]
+    if len(bottlenecks) > 1:
+        with pytest.raises(TiedBottleneckError):
+            trivial_allocation(p, CostModel(unit_cost, budget))
+        return
+    (b,) = bottlenecks
+    factor = 1 + budget / unit_cost[b]
+    others = [p.capacity[s] for s in stages if s != b]
+    if others:
+        factor = min(factor, min(others) / lowest)
+    res = trivial_allocation(p, CostModel(unit_cost, budget))
+    assert res.multiplier.factor == {
+        s: factor if s == b else 1 for s in stages}
+    assert res.spent == unit_cost[b] * (factor - 1)
+    assert res.achieved_throughput == min(
+        res.multiplier.factor[s] * p.capacity[s] for s in stages)
