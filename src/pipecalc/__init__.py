@@ -47,7 +47,6 @@ from .falsepos import (
     ConstantPrecision,
     DeclineVerdict,
     DomainError,
-    ExponentialDecayPrecision,
     FixedFractionModel,
     PlateauVerdict,
     RationalDecayPrecision,

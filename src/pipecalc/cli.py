@@ -32,10 +32,9 @@ from .ceiling import (
     tightness_witness,
 )
 from .characterize import _analyse
-from .documents import DocumentError, _exact, _text, load_document
+from .documents import DocumentError, _exact, _json, _text, load_document
 from .falsepos import (
     ConstantPrecision,
-    ExponentialDecayPrecision,
     FixedFractionModel,
     RationalDecayPrecision,
     TablePrecision,
@@ -202,8 +201,6 @@ _PRECISION_FAMILIES = {
     "constant": lambda pc: ConstantPrecision(_number(pc, "level", "precision")),
     "rational_decay": lambda pc: RationalDecayPrecision(
         _number(pc, "coefficient", "precision")),
-    "exponential_decay": lambda pc: ExponentialDecayPrecision(
-        _number(pc, "coefficient", "precision")),
     "table": lambda pc: TablePrecision(_table_points(pc)),
 }
 
@@ -211,11 +208,10 @@ _PRECISION_FAMILIES = {
 def _cmd_fp(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, or an over-long integer
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
         raise DocumentError(f"cannot read model file: {exc}") from None
-    except RecursionError:
-        raise DocumentError("cannot read model file: nesting is too deep") from None
+    cfg = _json(text, "cannot read model file")
     if not isinstance(cfg, dict):
         raise DocumentError("model file root must be an object")
     raw_samples = cfg.get("samples", [])

@@ -87,24 +87,35 @@ def _quoted(value) -> str:
     return f"{text[:_QUOTE_LIMIT]}... (a {type(value).__name__}, cut)"
 
 
-def _exact(text, what: str) -> Fraction:
+def _exact(text, what: str, *names) -> Fraction:
+    """`text` as an exact rational.  A refusal labels it `what`, its `{}`
+    fields filled with `names` through _quoted, built only on refusal."""
     try:
         return as_fraction(text)  # refuses bools and floats too
     except (ValueError, ZeroDivisionError, TypeError) as exc:
+        what = what.format(*map(_quoted, names))
         if isinstance(text, (bool, float)):
             raise DocumentError(
                 f"{what} must be exact text or an integer, got {text!r}"
             ) from None
-        raise DocumentError(f"{what} is not an exact rational: {exc}") from None
+        reason = str(exc)
+        if isinstance(text, str):  # Fraction's own message quotes it whole
+            reason = reason.replace(repr(text), _quoted(text))
+        raise DocumentError(f"{what} is not an exact rational: {reason}") from None
+
+
+def _json(text: str, refusal: str):
+    """`text` parsed as JSON; a refusal reads `refusal: reason`."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad JSON, or an over-long integer
+        raise DocumentError(f"{refusal}: {exc}") from None
+    except RecursionError:
+        raise DocumentError(f"{refusal}: nesting is too deep") from None
 
 
 def parse_document(text: str) -> PipelineDocument:
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an over-long integer
-        raise DocumentError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise DocumentError("not valid JSON: nesting is too deep") from None
+    raw = _json(text, "not valid JSON")
     if not isinstance(raw, dict):
         raise DocumentError("document root must be an object")
 
@@ -134,7 +145,7 @@ def parse_document(text: str) -> PipelineDocument:
         if not isinstance(sid, str):
             raise DocumentError(f"stage id {_quoted(sid)} must be text")
         stages.append(sid)
-        capacity[sid] = _exact(rec["capacity"], f"capacity of stage {sid!r}")
+        capacity[sid] = _exact(rec["capacity"], "capacity of stage {}", sid)
 
     result = validate_pipeline(stages, capacity)
     if isinstance(result, ValidationReport):
@@ -153,7 +164,7 @@ def parse_document(text: str) -> PipelineDocument:
             raise DocumentError("authority.human_stages must be a list of stage ids")
         unknown = sorted(set(human) - set(pipeline.stages))
         if unknown:
-            raise DocumentError(f"authority names unknown stages {unknown}")
+            raise DocumentError(f"authority names unknown stages {_quoted(unknown)}")
         bounds = None
         if "assist_bounds" in auth_raw:
             if not isinstance(auth_raw["assist_bounds"], dict):
@@ -161,7 +172,7 @@ def parse_document(text: str) -> PipelineDocument:
                     "authority.assist_bounds must map stage ids to bounds"
                 )
             bounds = {
-                s: _exact(v, f"assist bound of stage {s!r}")
+                s: _exact(v, "assist bound of stage {}", s)
                 for s, v in auth_raw["assist_bounds"].items()
             }
         try:
@@ -175,19 +186,19 @@ def parse_document(text: str) -> PipelineDocument:
     scenarios = {}
     for scen_name, factors_raw in scenarios_raw.items():
         if not isinstance(factors_raw, dict):
-            raise DocumentError(f"scenario {scen_name!r} must map stages to factors")
+            raise DocumentError(
+                f"scenario {_quoted(scen_name)} must map stages to factors")
         unknown = sorted(set(factors_raw) - set(pipeline.stages))
         if unknown:
-            raise DocumentError(
-                f"scenario {scen_name!r} names unknown stages {unknown}"
-            )
+            raise DocumentError(f"scenario {_quoted(scen_name)} names "
+                                f"unknown stages {_quoted(unknown)}")
         factors = dict.fromkeys(pipeline.stages, ONE)
         for s, v in factors_raw.items():
-            factors[s] = _exact(v, f"factor of stage {s!r} in {scen_name!r}")
+            factors[s] = _exact(v, "factor of stage {} in {}", s, scen_name)
         try:
             scenarios[scen_name] = Multiplier(factors)
         except ValueError as exc:
-            raise DocumentError(f"scenario {scen_name!r}: {exc}") from None
+            raise DocumentError(f"scenario {_quoted(scen_name)}: {exc}") from None
 
     return PipelineDocument(
         name=name,

@@ -15,24 +15,17 @@ These models are deliberately decoupled from the pipeline types; linking
 an alert rate to a pipeline stage is an interpretation made by callers,
 never by this module.
 
-All families except exponential decay evaluate exactly in rational
-arithmetic.  Exponential decay is evaluated at 34 significant decimal
-digits (decimal128 precision); its strict-decline checks avoid rounding
-entirely by comparing exponents, which is exact.
+Every family evaluates exactly in rational arithmetic: each value these
+models compute is a Fraction.
 """
 
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
 from .model import RationalInput, _shown, as_fraction
-
-# evaluation context for the one non-rational family
-_DEC = decimal.Context(prec=34)
 
 
 class DomainError(ValueError):
@@ -41,10 +34,6 @@ class DomainError(ValueError):
 
 class ModelValidationError(ValueError):
     """A model's parameters violate its invariants."""
-
-
-def _to_decimal(x: Fraction) -> Decimal:
-    return _DEC.divide(Decimal(x.numerator), Decimal(x.denominator))
 
 
 @dataclass(frozen=True)
@@ -122,9 +111,6 @@ class ConstantPrecision:
     def value(self, lam: Fraction) -> Fraction:
         return self.level
 
-    def strictly_decreasing_above(self, c_inv: Fraction) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class RationalDecayPrecision:
@@ -141,36 +127,6 @@ class RationalDecayPrecision:
 
     def value(self, lam: Fraction) -> Fraction:
         return Fraction(1) / (1 + self.rate_coefficient * lam)
-
-    def strictly_decreasing_above(self, c_inv: Fraction) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class ExponentialDecayPrecision:
-    """p(rate) = exp(-k * rate) with k > 0.
-
-    Values are computed at decimal128 precision.  Order comparisons between
-    two evaluations are done on the exponents -k * rate, which is exact:
-    exp is strictly increasing, so exp(a) > exp(b) iff a > b.
-    """
-
-    rate_coefficient: Fraction
-
-    def __init__(self, rate_coefficient: RationalInput):
-        k = as_fraction(rate_coefficient)
-        if k <= 0:
-            raise ModelValidationError(f"decay coefficient {_shown(k)} must be > 0")
-        object.__setattr__(self, "rate_coefficient", k)
-
-    def value(self, lam: Fraction) -> Decimal:
-        return _DEC.exp(_to_decimal(-self.rate_coefficient * lam))
-
-    def compare(self, lam1: Fraction, lam2: Fraction) -> int:
-        """Sign of p(lam1) - p(lam2), computed exactly via the exponents."""
-        e1 = -self.rate_coefficient * lam1
-        e2 = -self.rate_coefficient * lam2
-        return (e1 > e2) - (e1 < e2)
 
     def strictly_decreasing_above(self, c_inv: Fraction) -> bool:
         return True
@@ -222,12 +178,7 @@ class TablePrecision:
         return all(p1 > p2 for (_, p1), (_, p2) in zip(relevant, relevant[1:]))
 
 
-PrecisionFunction = Union[
-    ConstantPrecision,
-    RationalDecayPrecision,
-    ExponentialDecayPrecision,
-    TablePrecision,
-]
+PrecisionFunction = Union[ConstantPrecision, RationalDecayPrecision, TablePrecision]
 
 
 def _check_domain(lam: Fraction, c_inv: Fraction) -> None:
@@ -243,9 +194,8 @@ def _check_capacity(c_inv: Fraction) -> None:
 
 def repaired_useful(
     lam: RationalInput, p: PrecisionFunction, c_inv: RationalInput
-):
-    """p(rate) * min(rate, capacity).  Exact (a Fraction) for every family
-    except exponential decay, which returns a decimal128 value."""
+) -> Fraction:
+    """p(rate) * min(rate, capacity), exactly, for every family."""
     lam = as_fraction(lam)
     c_inv = as_fraction(c_inv)
     _check_domain(lam, c_inv)
@@ -253,18 +203,14 @@ def repaired_useful(
 
 
 def _repaired_useful(lam: Fraction, p: PrecisionFunction, c_inv: Fraction):
-    effective = min(lam, c_inv)
-    val = p.value(lam)
-    if isinstance(val, Decimal):
-        return _DEC.multiply(val, _to_decimal(effective))
-    return val * effective
+    return p.value(lam) * min(lam, c_inv)
 
 
 @dataclass(frozen=True)
 class DeclineVerdict:
     passed: bool
     mode: str  # "strict_decline" or "constant"
-    values: tuple
+    values: tuple[Fraction, ...]
 
 
 def decline_check(
@@ -299,10 +245,6 @@ def decline_check(
     values = tuple(_repaired_useful(x, p, c_inv) for x in samples)
     if constant:
         ok = all(v == values[0] for v in values)
-    elif isinstance(p, ExponentialDecayPrecision):
-        # exact route: above saturation the useful value is p(rate) * c_inv,
-        # so ordering reduces to the exponent comparison
-        ok = all(p.compare(x1, x2) > 0 for x1, x2 in zip(samples, samples[1:]))
     else:
         ok = all(v1 > v2 for v1, v2 in zip(values, values[1:]))
     mode = "constant" if constant else "strict_decline"

@@ -129,12 +129,18 @@ class TestFp:
         assert main(["fp", str(path)]) == 1
         assert "cannot read model file" in capsys.readouterr().err
 
-    def test_unknown_family(self, tmp_path, capsys):
+    # exponential decay was the one family without exact values; it is gone
+    @pytest.mark.parametrize("family", ["mystery", "exponential_decay"])
+    def test_unknown_family(self, tmp_path, capsys, family):
         path = tmp_path / "fp.json"
         path.write_text(json.dumps({
-            "precision": {"family": "mystery", "investigation_capacity": "1"},
+            "precision": {"family": family, "coefficient": "1/10",
+                          "investigation_capacity": "1"},
         }))
         assert main(["fp", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown precision family {family!r}; "
+            "have ['constant', 'rational_decay', 'table']\n")
 
     @pytest.mark.parametrize("model, name", [
         ({"fixed_fraction": {"false_positive_fraction": "1/2",
@@ -383,8 +389,15 @@ FP_MODEL = json.dumps({
     "samples": ["20", "40", "80"],
 })
 
+# numbers at the 4300 bound on decimal exponents and digits: all are
+# accepted except "1e4301", whose exponent is one past it
+NEAR_BOUND = st.sampled_from([
+    "1e4300", "-1e-4300", "1e4301", "9" * 4300, "1/" + "9" * 4300, 10**4299,
+])
+
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | NEAR_BOUND,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=8,

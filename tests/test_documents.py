@@ -100,8 +100,16 @@ class TestParse:
          "unsupported format_version"),
         (lambda d: d["pipeline"]["stages"].__setitem__(
             0, {"id": list(range(2000)), "capacity": "3"}), "stage id"),
+        (lambda d: d["pipeline"]["stages"][0].update(capacity="x" * 100_000),
+         "capacity of stage 'a' is not an exact rational"),
+        (lambda d: d["scenarios"].__setitem__("n" * 100_000, "2"),
+         "must map stages to factors"),
+        (lambda d: d["pipeline"]["stages"][0].update(
+            id="a" * 100_000, capacity="abc"),
+         "is not an exact rational: Invalid literal for Fraction: 'abc'"),
     ], ids=["deep-stage-record", "long-name", "long-format-version",
-            "long-stage-id"])
+            "long-stage-id", "long-capacity-text", "long-scenario-name",
+            "long-stage-id-bad-capacity"])
     def test_refusal_quotes_a_bounded_value(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)
         mutate(raw)
@@ -116,7 +124,13 @@ class TestParse:
          "pipeline.name ['x', 2] must be text"),
         (lambda d: d.__setitem__("format_version", 2),
          "unsupported format_version 2 (expected '1')"),
-    ], ids=["stage-record", "name", "format-version"])
+        (lambda d: d["pipeline"]["stages"][0].update(capacity="abc"),
+         "capacity of stage 'a' is not an exact rational: "
+         "Invalid literal for Fraction: 'abc'"),
+        (lambda d: d["scenarios"].__setitem__("bad", "2"),
+         "scenario 'bad' must map stages to factors"),
+    ], ids=["stage-record", "name", "format-version", "capacity-text",
+            "scenario-name"])
     def test_refusal_quotes_a_short_value_whole(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)
         mutate(raw)

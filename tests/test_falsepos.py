@@ -1,4 +1,3 @@
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from conftest import fractions
 from pipecalc import (
     ConstantPrecision,
     DomainError,
-    ExponentialDecayPrecision,
     FixedFractionModel,
     RationalDecayPrecision,
     TablePrecision,
@@ -90,12 +88,6 @@ class TestRepairedUseful:
         with pytest.raises(DomainError):
             repaired_useful(50, p, 10)
 
-    def test_exponential_is_decimal(self):
-        p = ExponentialDecayPrecision(Fraction(1, 10))
-        val = repaired_useful(20, p, 10)
-        assert isinstance(val, Decimal)
-        assert Decimal("1.35") < val < Decimal("1.36")  # 10 * exp(-2)
-
 
 class TestDeclineCheck:
     def test_rational_decay(self):
@@ -111,10 +103,6 @@ class TestDeclineCheck:
     def test_table(self):
         p = TablePrecision([(10, 1), (20, Fraction(1, 2)), (40, Fraction(1, 4))])
         assert decline_check(p, 10, [15, 20, 30, 40]).passed
-
-    def test_exponential_by_exact_exponents(self):
-        p = ExponentialDecayPrecision(Fraction(1, 7))
-        assert decline_check(p, 10, [11, 12, 10**6]).passed
 
     def test_non_monotone_samples_rejected(self):
         p = RationalDecayPrecision(1)
