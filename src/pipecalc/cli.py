@@ -47,7 +47,7 @@ from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_
 
 
 def _factors(mult) -> dict[str, str]:
-    return {s: _text(f, f"factor of stage {s!r}")
+    return {s: _text(f, "factor of stage {}", s)
             for s, f in sorted(mult.factor.items())}
 
 

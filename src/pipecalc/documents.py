@@ -33,14 +33,12 @@ from .model import (
     Multiplier,
     Pipeline,
     ValidationReport,
+    _quoted,
     as_fraction,
     validate_pipeline,
 )
 
 FORMAT_VERSION = "1"
-
-# the most characters of a raw JSON value that a refusal message quotes
-_QUOTE_LIMIT = 60
 
 
 class DocumentError(ValueError):
@@ -65,26 +63,18 @@ class PipelineDocument:
         return self.scenarios[name]
 
 
-def _text(value, quantity: str) -> str:
+def _text(value, quantity: str, *names) -> str:
     """Exact text of a rational, as a document or a report prints it.  A
     value longer than CPython's limit on int-to-text conversion is refused
-    with an error naming `quantity`."""
+    with an error naming `quantity`, its `{}` fields filled with `names`
+    through _quoted, built only on refusal."""
     try:
         return str(value)
     except ValueError:  # the int-string digit limit
+        quantity = quantity.format(*map(_quoted, names))
         raise DocumentError(
             f"{quantity} has too many digits to print exactly"
         ) from None
-
-
-def _quoted(value) -> str:
-    """repr of a raw JSON value for a refusal message, cut after
-    _QUOTE_LIMIT characters so that a malformed value of any size or depth
-    is not echoed back whole; a shorter repr is quoted as is."""
-    text = repr(value)
-    if len(text) <= _QUOTE_LIMIT:
-        return text
-    return f"{text[:_QUOTE_LIMIT]}... (a {type(value).__name__}, cut)"
 
 
 def _exact(text, what: str, *names) -> Fraction:
@@ -215,7 +205,7 @@ def document_dict(doc: PipelineDocument) -> dict:
             "name": doc.name,
             "stages": [
                 {"id": s, "capacity": _text(doc.pipeline.capacity[s],
-                                            f"capacity of stage {s!r}")}
+                                            "capacity of stage {}", s)}
                 for s in doc.pipeline.stages
             ],
         },
@@ -226,13 +216,13 @@ def document_dict(doc: PipelineDocument) -> dict:
         }
         if doc.authority.assist_bound is not None:
             auth["assist_bounds"] = {
-                s: _text(b, f"assist bound of stage {s!r}")
+                s: _text(b, "assist bound of stage {}", s)
                 for s, b in sorted(doc.authority.assist_bound.items())
             }
         out["authority"] = auth
     if doc.scenarios:
         out["scenarios"] = {
-            name: {s: _text(f, f"factor of stage {s!r} in {name!r}")
+            name: {s: _text(f, "factor of stage {} in {}", s, name)
                    for s, f in sorted(mult.factor.items())}
             for name, mult in sorted(doc.scenarios.items())
         }

@@ -15,7 +15,8 @@ is still a Fraction.  The constructors' sign checks (capacity > 0, factor
 >= 1, and their relatives in `ceiling` and `planner`) read the sign off the
 normalised numerator and denominator, and `characterize` decides whether
 throughput changed, and preservation's separation test, on unreduced integer
-pairs in the same way.
+pairs in the same way.  Parsing is on integers too: `as_fraction` reads
+"17", "13/4" and "3.25" with int() alone, and any other text with Fraction.
 
 Model assumptions enforced by validation (numbered for report output):
   1. the stage set is finite and nonempty;
@@ -38,6 +39,9 @@ RationalInput = Union[Fraction, int, str]
 # as "1e999999999" would stall; a larger exponent is refused first.
 MAX_EXPONENT = 4300
 
+# the most characters of a raw value that a refusal message quotes
+_QUOTE_LIMIT = 60
+
 # the factor of a stage left unimproved; Fractions are immutable, so every
 # default factor is this one value and none is built per stage
 ONE = Fraction(1)
@@ -51,6 +55,16 @@ def _shown(value) -> str:
         return str(value)
     except ValueError:  # the int-string digit limit
         return f"<a value of more than {MAX_EXPONENT} digits>"
+
+
+def _quoted(value) -> str:
+    """repr of a raw value for a refusal message, cut after _QUOTE_LIMIT
+    characters so that a malformed value of any size or depth is not
+    echoed back whole; a shorter repr is quoted as is."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... (a {type(value).__name__}, cut)"
 
 
 class PipelineValidationError(ValueError):
@@ -71,9 +85,21 @@ def as_fraction(value: RationalInput) -> Fraction:
     exact, and so is text whose decimal exponent exceeds MAX_EXPONENT in
     magnitude.
 
-    A Fraction is returned as is: it is immutable, so no copy is needed."""
+    A Fraction is returned as is: it is immutable, so no copy is needed.
+    ASCII digits, digits/nonzero digits and digits.digits are read with
+    int() part by part, as Fraction's own parser does, so the value and any
+    digit-limit refusal are the same; other text goes to Fraction."""
     if type(value) is Fraction:
         return value
+    if type(value) is str and value.isascii():
+        n, slash, d = value.partition("/")
+        if n.isdigit() and not slash:
+            return Fraction(int(n))
+        if n.isdigit() and d.isdigit() and d.strip("0"):
+            return Fraction(int(n), int(d))
+        w, _, f = value.partition(".")
+        if w.isdigit() and f.isdigit():
+            return Fraction(int(w) * 10 ** len(f) + int(f), 10 ** len(f))
     if isinstance(value, bool):
         raise TypeError("booleans are not capacities")
     if isinstance(value, float):
@@ -110,20 +136,20 @@ def _check_description(
     seen = set()
     for s in stages:
         if not isinstance(s, str) or not s:
-            violations.append(f"stage id {s!r} is not nonempty text")
+            violations.append(f"stage id {_quoted(s)} is not nonempty text")
         elif s in seen:
-            violations.append(f"duplicate stage id {s!r}: stage ids form a set")
+            violations.append(f"duplicate stage id {_quoted(s)}: stage ids form a set")
         seen.add(s)
     for s in stages:
         if s not in capacity:
-            violations.append(f"stage {s!r} has no capacity")
+            violations.append(f"stage {_quoted(s)} has no capacity")
     for s in capacity:
         if s not in seen:
-            violations.append(f"capacity given for unknown stage {s!r}")
+            violations.append(f"capacity given for unknown stage {_quoted(s)}")
     for s, c in capacity.items():
         if s in seen and c.numerator <= 0:  # denominators are positive
             violations.append(
-                f"assumption 2 violated: capacity of stage {s!r} is "
+                f"assumption 2 violated: capacity of stage {_quoted(s)} is "
                 f"{_shown(c)} (must be > 0)"
             )
     return violations
@@ -155,19 +181,6 @@ class Pipeline:
         object.__setattr__(self, "stages", stage_tuple)
         object.__setattr__(self, "capacity", MappingProxyType(cap))
 
-    @classmethod
-    def _trusted(
-        cls, stages: tuple[str, ...], capacity: dict[str, Fraction]
-    ) -> "Pipeline":
-        """Build from parts that already satisfy every check of __init__:
-        unique nonempty text ids, and a positive Fraction for each of them
-        and no other key.  For derived pipelines only; input goes through
-        the validating constructor."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "stages", stages)
-        object.__setattr__(p, "capacity", MappingProxyType(capacity))
-        return p
-
     def __hash__(self) -> int:
         return hash((self.stages, tuple(sorted(self.capacity.items()))))
 
@@ -195,7 +208,7 @@ class Multiplier:
         bad = [s for s, v in f.items() if v.numerator < v.denominator]
         if bad:
             raise AdmissibilityError(
-                f"factors below 1 are inadmissible: {sorted(bad)}"
+                f"factors below 1 are inadmissible: {_quoted(sorted(bad))}"
             )
         object.__setattr__(self, "factor", MappingProxyType(f))
 
@@ -303,13 +316,10 @@ def perturb(p: Pipeline, a: Multiplier) -> Pipeline:
     """Apply a stagewise: capacity of each stage becomes factor * capacity.
 
     The result is again a valid pipeline (positive capacities, same stage
-    order): p's stage ids are already validated, and each factor >= 1 times
-    a capacity > 0 is a positive Fraction, so it is not validated again.
+    order).
     """
     check_admissible(p, a)
-    return Pipeline._trusted(
-        p.stages, {s: a.factor[s] * p.capacity[s] for s in p.stages}
-    )
+    return Pipeline(p.stages, {s: a.factor[s] * p.capacity[s] for s in p.stages})
 
 
 def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:

@@ -107,9 +107,17 @@ class TestParse:
         (lambda d: d["pipeline"]["stages"][0].update(
             id="a" * 100_000, capacity="abc"),
          "is not an exact rational: Invalid literal for Fraction: 'abc'"),
+        (lambda d: d["pipeline"]["stages"].extend(
+            [{"id": "d" * 100_000, "capacity": "2"}] * 2),
+         "invalid pipeline: duplicate stage id 'ddd"),
+        (lambda d: (d["pipeline"]["stages"].append(
+            {"id": "f" * 100_000, "capacity": "2"}),
+            d["scenarios"]["boost"].update({"f" * 100_000: "1/2"})),
+         "scenario 'boost': factors below 1 are inadmissible: \\['fff"),
     ], ids=["deep-stage-record", "long-name", "long-format-version",
             "long-stage-id", "long-capacity-text", "long-scenario-name",
-            "long-stage-id-bad-capacity"])
+            "long-stage-id-bad-capacity", "long-duplicate-stage-id",
+            "long-stage-id-factor-below-one"])
     def test_refusal_quotes_a_bounded_value(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)
         mutate(raw)
@@ -129,8 +137,12 @@ class TestParse:
          "Invalid literal for Fraction: 'abc'"),
         (lambda d: d["scenarios"].__setitem__("bad", "2"),
          "scenario 'bad' must map stages to factors"),
+        (lambda d: d["pipeline"]["stages"].append({"id": "a", "capacity": "2"}),
+         "invalid pipeline: duplicate stage id 'a': stage ids form a set"),
+        (lambda d: d["scenarios"].__setitem__("bad", {"c": "1/2", "b": "0"}),
+         "scenario 'bad': factors below 1 are inadmissible: ['b', 'c']"),
     ], ids=["stage-record", "name", "format-version", "capacity-text",
-            "scenario-name"])
+            "scenario-name", "duplicate-stage-id", "factors-below-one"])
     def test_refusal_quotes_a_short_value_whole(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)
         mutate(raw)

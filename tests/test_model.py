@@ -27,6 +27,41 @@ from pipecalc.planner import CostModelError
 from pipecalc.model import as_fraction, check_admissible
 
 
+# text that as_fraction reads with int() alone, and its neighbours that go
+# to Fraction's parser: either way the result or refusal is Fraction's
+_LONG = "7" * 3000
+FAST_PATH_TEXTS = [
+    "0", "007", "0/5", "007/010", "5/0", "5/00", "3.25", "3.250", "1.", ".5",
+    "+3", "-3/4", " 3", "3 ", "1_000", "\u0661\u0662", "\u00b2", "3/ 4", "1e3",
+    "1" * 4301, "1/" + "9" * 4301, f"{_LONG}.{_LONG}",
+]
+
+
+class _ParserCalled(Exception):
+    pass
+
+
+class _NoParser:
+    """Stands in for Fraction's text pattern and fails when consulted."""
+
+    def match(self, text):
+        raise _ParserCalled(text)
+
+
+class _General(str):
+    """as_fraction reads digits itself only for a str proper; a subclass
+    takes the general path, the exponent bound and then Fraction."""
+
+
+def _conversion(convert, text):
+    """(type, value) of convert(text), or (exception type, message)."""
+    try:
+        value = convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
 class TestAsFraction:
     def test_fraction_returned_unchanged(self):
         x = Fraction(13, 4)
@@ -55,6 +90,41 @@ class TestAsFraction:
 
         result = as_fraction(Tagged(13, 4))
         assert type(result) is Fraction and result == Fraction(13, 4)
+
+    @pytest.mark.parametrize("text", FAST_PATH_TEXTS, ids=[
+        "zero", "leading-zeros", "zero-over", "leading-zeros-ratio",
+        "zero-denominator", "zeros-denominator", "decimal", "trailing-zero",
+        "no-fraction-digits", "no-whole-digits", "plus", "minus", "leading-space",
+        "trailing-space", "underscore", "arabic-indic", "superscript",
+        "space-in-ratio", "exponent", "4301-digits", "4301-digit-denominator",
+        "3000-dot-3000-digits"])
+    def test_text_converts_as_fraction_does(self, text):
+        assert _conversion(as_fraction, text) == _conversion(Fraction, text)
+
+    def test_digit_spellings_bypass_fractions_parser(self, monkeypatch):
+        monkeypatch.setattr("fractions._RATIONAL_FORMAT", _NoParser())
+        assert as_fraction("13/4") == as_fraction("3.25") == Fraction(13, 4)
+        assert as_fraction("17") == 17
+        for text in ["1e3", "5/0", "\u0661\u0662", _General("17")]:
+            with pytest.raises(_ParserCalled):
+                as_fraction(text)
+
+
+# short runs of digits, and long ones next to the 4300-digit limit
+DIGIT_RUNS = st.one_of(
+    st.text("0123456789", max_size=6),
+    st.builds(str.__mul__, st.sampled_from("0179"), st.integers(4295, 4305)),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.text("0123456789./+- _eE", max_size=12),
+    st.builds("".join, st.tuples(
+        DIGIT_RUNS, st.sampled_from(["", "/", ".", "/0", "e", " "]), DIGIT_RUNS)),
+))
+def test_digit_fast_path_equals_general_path(text):
+    assert _conversion(as_fraction, text) == _conversion(as_fraction, _General(text))
 
 
 class TestCheckAdmissible:
@@ -232,14 +302,6 @@ def test_perturb_closed(pm):
     p, a = pm
     q = perturb(p, a)
     assert q.stages == p.stages
-    assert all(c > 0 for c in q.capacity.values())
-
-
-@given(pipeline_with_multiplier())
-def test_perturb_equals_validated_construction(pm):
-    p, a = pm
-    q = perturb(p, a)
-    assert q == Pipeline(p.stages, {s: a.factor[s] * p.capacity[s] for s in p.stages})
     assert all(type(c) is Fraction and c > 0 for c in q.capacity.values())
 
 
