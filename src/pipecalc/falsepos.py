@@ -16,7 +16,8 @@ an alert rate to a pipeline stage is an interpretation made by callers,
 never by this module.
 
 Every family evaluates exactly in rational arithmetic: each value these
-models compute is a Fraction.
+models compute is a Fraction.  Every comparison they make is decided on
+integer numerator/denominator pairs (`_cmp`), building no Fraction.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class FixedFractionModel:
                  investigation_capacity: RationalInput):
         f = as_fraction(false_positive_fraction)
         c = as_fraction(investigation_capacity)
-        if not 0 <= f < 1:
+        if not 0 <= f.numerator < f.denominator:
             raise ModelValidationError(f"fraction {_shown(f)} outside [0, 1)")
-        if c <= 0:
+        if c.numerator <= 0:
             raise ModelValidationError(
                 f"investigation capacity {_shown(c)} must be > 0")
         object.__setattr__(self, "false_positive_fraction", f)
@@ -60,13 +61,22 @@ class FixedFractionModel:
 def simple_useful(lam: RationalInput, m: FixedFractionModel) -> Fraction:
     """(1 - fraction) * min(rate, capacity), exactly."""
     lam = as_fraction(lam)
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise DomainError(f"rate {_shown(lam)} must be > 0")
     return _simple_useful(lam, m)
 
 
+def _cmp(x: Fraction, y: Fraction) -> int:
+    """Sign of x - y (-1, 0 or 1) from one pair of integer cross-products."""
+    lhs, rhs = x.numerator * y.denominator, y.numerator * x.denominator
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def _simple_useful(lam: Fraction, m: FixedFractionModel) -> Fraction:
-    return (1 - m.false_positive_fraction) * min(lam, m.investigation_capacity)
+    f, c = m.false_positive_fraction, m.investigation_capacity
+    x = lam if _cmp(lam, c) < 0 else c
+    return Fraction((f.denominator - f.numerator) * x.numerator,
+                    f.denominator * x.denominator)
 
 
 @dataclass(frozen=True)
@@ -81,14 +91,14 @@ def plateau_check(m: FixedFractionModel, lambdas) -> PlateauVerdict:
     the investigation capacity must map to exactly
     (1 - fraction) * capacity.  A failure is an implementation bug."""
     samples = [as_fraction(x) for x in lambdas]
-    low = [x for x in samples if x <= m.investigation_capacity]
+    low = [x for x in samples if _cmp(x, m.investigation_capacity) <= 0]
     if low:
         raise DomainError(
             f"samples must exceed the investigation capacity; got {_shown(low[:3])}"
         )
     expected = (1 - m.false_positive_fraction) * m.investigation_capacity
     # every sample exceeds a positive capacity, so each is in the domain
-    ok = all(_simple_useful(x, m) == expected for x in samples)
+    ok = all(_cmp(_simple_useful(x, m), expected) == 0 for x in samples)
     return PlateauVerdict(passed=ok, common_value=expected,
                           samples_checked=len(samples))
 
@@ -104,7 +114,7 @@ class ConstantPrecision:
 
     def __init__(self, level: RationalInput):
         f = as_fraction(level)
-        if not 0 <= f <= 1:
+        if not 0 <= f.numerator <= f.denominator:
             raise ModelValidationError(f"precision level {_shown(f)} outside [0, 1]")
         object.__setattr__(self, "level", f)
 
@@ -121,15 +131,14 @@ class RationalDecayPrecision:
 
     def __init__(self, rate_coefficient: RationalInput):
         k = as_fraction(rate_coefficient)
-        if k <= 0:
+        if k.numerator <= 0:
             raise ModelValidationError(f"decay coefficient {_shown(k)} must be > 0")
         object.__setattr__(self, "rate_coefficient", k)
 
     def value(self, lam: Fraction) -> Fraction:
-        return Fraction(1) / (1 + self.rate_coefficient * lam)
-
-    def strictly_decreasing_above(self, c_inv: Fraction) -> bool:
-        return True
+        k = self.rate_coefficient
+        t = k.denominator * lam.denominator
+        return Fraction(t, t + k.numerator * lam.numerator)
 
 
 @dataclass(frozen=True)
@@ -147,11 +156,11 @@ class TablePrecision:
         if len(pts) < 2:
             raise ModelValidationError("table needs at least two breakpoints")
         for (l1, _), (l2, _) in zip(pts, pts[1:]):
-            if l2 <= l1:
+            if _cmp(l2, l1) <= 0:
                 raise ModelValidationError(
                     "table breakpoints must be strictly increasing in rate"
                 )
-        bad = [p for _, p in pts if not 0 <= p <= 1]
+        bad = [p for _, p in pts if not 0 <= p.numerator <= p.denominator]
         if bad:
             raise ModelValidationError(
                 f"table precisions outside [0, 1]: {_shown(bad)}")
@@ -163,32 +172,33 @@ class TablePrecision:
 
     def value(self, lam: Fraction) -> Fraction:
         lo, hi = self.span
-        if not lo <= lam <= hi:
+        if _cmp(lam, lo) < 0 or _cmp(lam, hi) > 0:
             raise DomainError(f"rate {_shown(lam)} outside table span "
                               f"[{_shown(lo)}, {_shown(hi)}]")
         for (l1, p1), (l2, p2) in zip(self.points, self.points[1:]):
-            if l1 <= lam <= l2:
+            if _cmp(lam, l2) <= 0:  # the first such l2: l1 <= lam already
                 return p1 + (p2 - p1) * (lam - l1) / (l2 - l1)
         raise AssertionError("unreachable: span check passed")
 
     def strictly_decreasing_above(self, c_inv: Fraction) -> bool:
         """Consecutive breakpoint values must strictly decrease on the part
         of the span above c_inv."""
-        relevant = [(l, p) for l, p in self.points if l > c_inv]
-        return all(p1 > p2 for (_, p1), (_, p2) in zip(relevant, relevant[1:]))
+        relevant = [(l, p) for l, p in self.points if _cmp(l, c_inv) > 0]
+        return all(_cmp(p1, p2) > 0
+                   for (_, p1), (_, p2) in zip(relevant, relevant[1:]))
 
 
 PrecisionFunction = Union[ConstantPrecision, RationalDecayPrecision, TablePrecision]
 
 
 def _check_domain(lam: Fraction, c_inv: Fraction) -> None:
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise DomainError(f"rate {_shown(lam)} must be > 0")
     _check_capacity(c_inv)
 
 
 def _check_capacity(c_inv: Fraction) -> None:
-    if c_inv <= 0:
+    if c_inv.numerator <= 0:
         raise DomainError(f"investigation capacity {_shown(c_inv)} must be > 0")
 
 
@@ -203,7 +213,9 @@ def repaired_useful(
 
 
 def _repaired_useful(lam: Fraction, p: PrecisionFunction, c_inv: Fraction):
-    return p.value(lam) * min(lam, c_inv)
+    x = lam if _cmp(lam, c_inv) < 0 else c_inv
+    v = p.value(lam)
+    return Fraction(v.numerator * x.numerator, v.denominator * x.denominator)
 
 
 @dataclass(frozen=True)
@@ -221,16 +233,16 @@ def decline_check(
     exact constancy instead.  A failure is an implementation bug."""
     c_inv = as_fraction(c_inv)
     samples = [as_fraction(x) for x in lambdas]
-    if any(x2 <= x1 for x1, x2 in zip(samples, samples[1:])):
+    if any(_cmp(x2, x1) <= 0 for x1, x2 in zip(samples, samples[1:])):
         raise DomainError("samples must be strictly increasing")
-    low = [x for x in samples if x <= c_inv]
+    low = [x for x in samples if _cmp(x, c_inv) <= 0]
     if low:
         raise DomainError(
             f"samples must exceed the investigation capacity; got {_shown(low[:3])}"
         )
 
-    constant = isinstance(p, ConstantPrecision)
-    if not constant and not p.strictly_decreasing_above(c_inv):
+    # the decay family decreases everywhere; only a table can fail to
+    if isinstance(p, TablePrecision) and not p.strictly_decreasing_above(c_inv):
         raise ModelValidationError(
             "precision function is not strictly decreasing above the "
             "investigation capacity"
@@ -243,9 +255,10 @@ def decline_check(
     else:
         _check_capacity(c_inv)
     values = tuple(_repaired_useful(x, p, c_inv) for x in samples)
+    constant = isinstance(p, ConstantPrecision)
     if constant:
-        ok = all(v == values[0] for v in values)
+        ok = all(_cmp(v, values[0]) == 0 for v in values)
     else:
-        ok = all(v1 > v2 for v1, v2 in zip(values, values[1:]))
+        ok = all(_cmp(v1, v2) > 0 for v1, v2 in zip(values, values[1:]))
     mode = "constant" if constant else "strict_decline"
     return DeclineVerdict(passed=ok, mode=mode, values=values)

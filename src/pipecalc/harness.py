@@ -127,11 +127,13 @@ def generate_fp_model(
     model = FixedFractionModel(
         Fraction(rng.randint(0, 9), 10), rng.choice(CAPACITY_GRID)
     )
-    c_inv = model.investigation_capacity
-    samples = sorted(
-        c_inv + Fraction(rng.randint(1, 1000), rng.randint(1, 10))
-        for _ in range(5)
-    )
+    c = model.investigation_capacity
+    samples = [  # c + n/d, drawing n then d, as one Fraction each
+        Fraction(c.numerator * d + n * c.denominator, c.denominator * d)
+        for n, d in [(rng.randint(1, 1000), rng.randint(1, 10)) for _ in range(5)]
+    ]
+    # the planner's order key: floor(x * 2**64), with the Fraction on ties
+    samples.sort(key=lambda x: ((x.numerator << 64) // x.denominator, x))
     return model, samples
 
 

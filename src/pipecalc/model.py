@@ -234,9 +234,9 @@ def check_admissible(p: Pipeline, a: Multiplier) -> None:
     extra = sorted(domain - stage_set)
     parts = []
     if missing:
-        parts.append(f"missing factors for stages {missing}")
+        parts.append(f"missing factors for stages {_quoted(missing)}")
     if extra:
-        parts.append(f"factors for unknown stages {extra}")
+        parts.append(f"factors for unknown stages {_quoted(extra)}")
     raise AdmissibilityError("; ".join(parts))
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pipecalc.harness as harness
@@ -9,9 +10,11 @@ from pipecalc import (
 )
 from pipecalc.adversarial import InternalCheckError
 from pipecalc.characterize import CharacterizationVerdict
+from pipecalc.falsepos import FixedFractionModel
 from pipecalc.harness import (
     CAPACITY_GRID,
     FACTOR_GRID,
+    generate_fp_model,
     generate_pair,
     verify_instance,
 )
@@ -55,6 +58,38 @@ class TestGenerateInstance:
             kept += any(a.factor[s] == 1 for s in b)
         assert ties / 2000 > 0.10
         assert kept / 2000 > 0.20
+
+
+def _fp_model_by_fraction_operators(cfg, index):
+    """generate_fp_model's draws from the same seed text, summed and sorted
+    with Fraction operators."""
+    rng = random.Random(f"{cfg.seed}:{index}:falsepos")
+    model = FixedFractionModel(
+        Fraction(rng.randint(0, 9), 10), rng.choice(harness.CAPACITY_GRID))
+    c_inv = model.investigation_capacity
+    return model, sorted(
+        c_inv + Fraction(rng.randint(1, 1000), rng.randint(1, 10))
+        for _ in range(5))
+
+
+def _assert_fp_models_match(pairs):
+    for seed, index in pairs:
+        cfg = GeneratorConfig(seed=seed)
+        model, samples = generate_fp_model(cfg, index)
+        ref_model, ref_samples = _fp_model_by_fraction_operators(cfg, index)
+        assert model == ref_model
+        assert [(x.numerator, x.denominator) for x in samples] == [
+            (x.numerator, x.denominator) for x in ref_samples]
+
+
+class TestGenerateFpModel:
+    def test_matches_fraction_operators(self):
+        _assert_fp_models_match((s, i) for s in range(4) for i in range(500))
+
+    def test_matches_on_fractional_capacities(self, monkeypatch):
+        monkeypatch.setattr(harness, "CAPACITY_GRID", (
+            Fraction(7, 3), Fraction(1, 1000), Fraction(10**20 + 1, 10**19)))
+        _assert_fp_models_match((9, i) for i in range(500))
 
 
 class TestVerifyAll:

@@ -143,6 +143,16 @@ class TestCheckAdmissible:
             check_admissible(example_pipeline, Multiplier(factors))
         assert str(info.value) == message
 
+    def test_long_stage_ids_are_quoted_short(self):
+        kept, unknown = "k" * 100_000, "u" * 100_000
+        p = Pipeline((kept,), {kept: 1})
+        with pytest.raises(AdmissibilityError) as info:
+            check_admissible(p, Multiplier({unknown: 2}))
+        message = str(info.value)
+        assert len(message) < 300
+        assert message.startswith("missing factors for stages ['kkk")
+        assert "; factors for unknown stages ['uuu" in message
+
 
 class TestThroughput:
     def test_example(self, example_pipeline):
