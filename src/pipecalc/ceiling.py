@@ -19,7 +19,14 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .model import ONE, Multiplier, Pipeline, RationalInput, as_fraction
+from .model import (
+    ONE,
+    Multiplier,
+    Pipeline,
+    RationalInput,
+    _quoted,
+    as_fraction,
+)
 
 
 class UndefinedCeilingError(ValueError):
@@ -58,7 +65,7 @@ class AuthoritySpec:
                 s for s, b in bounds.items() if b.numerator < b.denominator
             )
             if low:
-                raise ConfigurationError(f"assist bounds below 1: {low}")
+                raise ConfigurationError(f"assist bounds below 1: {_quoted(low)}")
             bounds = MappingProxyType(bounds)
         object.__setattr__(self, "human_stages", stages)
         object.__setattr__(self, "assist_bound", bounds)
@@ -69,7 +76,8 @@ def _require_nonempty(p: Pipeline, h: AuthoritySpec) -> None:
         raise UndefinedCeilingError("pinned stage set is empty")
     unknown = sorted(h.human_stages - set(p.stages))
     if unknown:
-        raise ConfigurationError(f"pinned stages not in pipeline: {unknown}")
+        raise ConfigurationError(
+            f"pinned stages not in pipeline: {_quoted(unknown)}")
 
 
 def ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:

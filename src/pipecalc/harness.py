@@ -48,6 +48,8 @@ FACTOR_GRID = (
     Fraction(2),
     Fraction(5),
 )
+# the decreasing precision every falsepos check declines under
+_DECAY = RationalDecayPrecision(Fraction(1, 10))
 
 
 @dataclass(frozen=True)
@@ -227,9 +229,8 @@ def check_falsepos(model: FixedFractionModel,
         failures.append("fixed-fraction plateau violated")
     distinct = sorted(set(samples))
     if len(distinct) >= 2:
-        decay = RationalDecayPrecision(Fraction(1, 10))
         if not decline_check(
-            decay, model.investigation_capacity, distinct
+            _DECAY, model.investigation_capacity, distinct
         ).passed:
             failures.append("rational-decay decline violated")
         const = ConstantPrecision(1 - model.false_positive_fraction)

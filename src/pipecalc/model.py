@@ -39,6 +39,11 @@ RationalInput = Union[Fraction, int, str]
 # as "1e999999999" would stall; a larger exponent is refused first.
 MAX_EXPONENT = 4300
 
+# the least integer of MAX_EXPONENT + 1 digits; a value whose numerator or
+# denominator reaches it cannot be printed back, so text spelling one is
+# refused on input (compared as ints, never converted to text)
+_UNPRINTABLE = 10 ** MAX_EXPONENT
+
 # the most characters of a raw value that a refusal message quotes
 _QUOTE_LIMIT = 60
 
@@ -55,6 +60,22 @@ def _shown(value) -> str:
         return str(value)
     except ValueError:  # the int-string digit limit
         return f"<a value of more than {MAX_EXPONENT} digits>"
+
+
+def _printable(x: Fraction) -> Fraction:
+    """`x`, refused unless its numerator and denominator have at most
+    MAX_EXPONENT digits, the most that CPython prints as text.
+
+    as_fraction asks only where text can spell a longer value: with an
+    exponent, or in more than MAX_EXPONENT characters.  Without an exponent
+    a value has no more digits than its text has characters, and digits or
+    digits/digits need no check at all: int() bounds each part, and
+    normalising only shrinks them."""
+    if abs(x.numerator) >= _UNPRINTABLE or x.denominator >= _UNPRINTABLE:
+        raise ValueError(
+            f"value has more than {MAX_EXPONENT} digits in its numerator or "
+            "denominator, too many to print exactly")
+    return x
 
 
 def _quoted(value) -> str:
@@ -83,7 +104,8 @@ def as_fraction(value: RationalInput) -> Fraction:
     """Convert an exact input (int, Fraction, or text like "3", "3.25",
     "13/4", "1e-3") to a Fraction.  Floats are refused to keep arithmetic
     exact, and so is text whose decimal exponent exceeds MAX_EXPONENT in
-    magnitude.
+    magnitude, or whose value has a numerator or denominator of more than
+    MAX_EXPONENT digits, which could not be printed back.
 
     A Fraction is returned as is: it is immutable, so no copy is needed.
     ASCII digits, digits/nonzero digits and digits.digits are read with
@@ -99,7 +121,8 @@ def as_fraction(value: RationalInput) -> Fraction:
             return Fraction(int(n), int(d))
         w, _, f = value.partition(".")
         if w.isdigit() and f.isdigit():
-            return Fraction(int(w) * 10 ** len(f) + int(f), 10 ** len(f))
+            x = Fraction(int(w) * 10 ** len(f) + int(f), 10 ** len(f))
+            return _printable(x) if len(value) > MAX_EXPONENT else x
     if isinstance(value, bool):
         raise TypeError("booleans are not capacities")
     if isinstance(value, float):
@@ -113,7 +136,9 @@ def as_fraction(value: RationalInput) -> Fraction:
         # the length test comes first: int() of a long digit string is slow
         if digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
             raise ValueError(f"decimal exponent exceeds {MAX_EXPONENT} in magnitude")
-    return Fraction(value)
+        return _printable(Fraction(value))
+    x = Fraction(value)
+    return _printable(x) if isinstance(value, str) and len(value) > MAX_EXPONENT else x
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,17 @@ how much to improve each stage.  Two allocators:
 
 The sweep orders the stages by the integer key floor(c * 2**64), which never
 decreases as c grows, and compares the capacities themselves only where two
-keys tie: exactly capacity order, with no float and no common denominator.
-Only the first k stages of that order, the ones the sweep raises to t, are
-divided and costed; every later stage already has capacity at least t, keeps
-factor 1 and adds nothing to the spend.
+keys tie: exactly capacity order, with no float.  It then runs on integer
+pairs: the raised prefix's cost sum U = sum u and weight sum W = sum u/c
+(with the budget B) are held unreduced over one running denominator, each
+test of the target (B + U)/W against the next capacity is one integer
+cross-multiplication, and the target is normalised once, after the sweep.
+Each raised factor is then one Fraction t/c, and the spend is t*W - U, the
+per-stage sum of u * (t/c - 1) with t factored out.  No factor needs a
+clamp at 1: the first target is c_1 * (1 + B/u_1), and each later one lies
+between the previous target, which passed the new capacity, and that
+capacity, so t is at least every raised capacity.  Every later stage already
+has capacity at least t, keeps factor 1 and adds nothing to the spend.
 
 Cost linear in (factor - 1) is a modelling choice; the max-min sweep's
 closed form for each segment relies on it.
@@ -37,6 +44,7 @@ from .model import (
     Pipeline,
     RationalInput,
     _argmin,
+    _quoted,
     _shown,
     as_fraction,
     bottleneck_report,
@@ -66,7 +74,8 @@ class CostModel:
         # denominators are positive, so the numerator carries the sign
         bad = sorted(s for s, c in costs.items() if c.numerator <= 0)
         if bad:
-            raise CostModelError(f"unit costs must be > 0; offending: {bad}")
+            raise CostModelError(
+                f"unit costs must be > 0; offending: {_quoted(bad)}")
         b = as_fraction(budget)
         if b.numerator < 0:
             raise CostModelError(f"budget {_shown(b)} must be >= 0")
@@ -142,22 +151,36 @@ def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
         p.stages,
         key=lambda s: (((x := cap[s]).numerator << 64) // x.denominator, x),
     )
-    raised_cost = raised_weight = Fraction(0)
-    for k, s in enumerate(ordered, start=1):
-        raised_cost += cost[s]
-        raised_weight += cost[s] / cap[s]
-        target = (c.budget + raised_cost) / raised_weight
-        if k == len(ordered) or target <= cap[ordered[k]]:
+    # S = budget + U and W share one unreduced denominator d, held as s/d
+    # and w/d, with U = sum u as u_sum/d for the spend.  Raising stage
+    # (c, u) scales d by u.d * c.n, so each step multiplies by small
+    # integers and no gcd runs until the target is built
+    s, u_sum, w, d = c.budget.numerator, 0, 0, c.budget.denominator
+    for k, stage in enumerate(ordered, start=1):
+        x, u = cap[stage], cost[stage]
+        scale = u.denominator * x.numerator
+        u_step = u.numerator * x.numerator * d  # u over d * scale
+        s = s * scale + u_step
+        u_sum = u_sum * scale + u_step
+        w = w * scale + u.numerator * x.denominator * d
+        d *= scale
+        # the target s/w is at most the next capacity x iff s*x.d <= x.n*w
+        if k == len(ordered) or s * (x := cap[ordered[k]]).denominator <= (
+                x.numerator * w):
             break
 
-    # target <= every capacity past the first k, whose factors stay 1
+    # the target is at least every raised capacity (see the module
+    # docstring), so each raised factor is t/c with no clamp at 1
+    target = Fraction(s, w)
+    t_n, t_d = target.numerator, target.denominator
     factors = dict.fromkeys(p.stages, ONE)
-    raised = ordered[:k]
-    for s in raised:
-        factors[s] = max(ONE, target / cap[s])
+    for stage in ordered[:k]:
+        x = cap[stage]
+        factors[stage] = Fraction(t_n * x.denominator, t_d * x.numerator)
     mult = Multiplier(factors)
     return AllocationResult(
         multiplier=mult,
         achieved_throughput=perturbed_throughput(p, mult),
-        spent=sum(cost[s] * (factors[s] - 1) for s in raised),
+        # sum of u * (t/c - 1) over the raised prefix, t factored out
+        spent=Fraction(t_n * w - t_d * u_sum, t_d * d),
     )

@@ -9,6 +9,7 @@ import pipecalc.harness as harness
 from pipecalc.adversarial import InternalCheckError
 from pipecalc.characterize import CharacterizationVerdict
 from pipecalc.cli import build_parser, main
+from pipecalc.documents import DocumentError, parse_document, serialize_document
 from test_documents import EXAMPLE_DOC
 
 
@@ -313,15 +314,14 @@ class TestParserReuse:
 
 
 class TestOverlongResults:
-    # every input is inside the exponent bound, but 10**4300 has 4301 digits
+    # every input prints, but the product 10 * 10**4299 has 4301 digits; a
+    # throughput is a capacity, and every accepted capacity prints, so only
+    # computed results such as this one reach the refusal
     @pytest.mark.parametrize("caps, boost, argv, quantity", [
-        (("1e4300", "2e4300"), {"a": "1e4300"}, ["analyze"], "throughput"),
-        (("1e4300", "2e4300"), {"a": "1e4300"},
-         ["perturb", "--scenario", "boost"], "base throughput"),
         (("1e4299", "2e4299"), {"a": "10", "b": "10"},
          ["perturb", "--scenario", "boost", "--format", "structured"],
          "new throughput"),
-    ], ids=["analyze", "perturb-base", "perturb-new"])
+    ], ids=["perturb-new"])
     def test_named_error(self, tmp_path, capsys, caps, boost, argv, quantity):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({
@@ -336,12 +336,13 @@ class TestOverlongResults:
         assert captured.out == ""
         assert f"error: {quantity} has too many digits" in captured.err
 
-    # "-1e-4300" is exact, inside the exponent bound, and its denominator
-    # 10**4300 has 4301 digits; the refusal still names the quantity
+    # "-1e-4300" is exact and inside the exponent bound, but its denominator
+    # 10**4300 has 4301 digits, so it is refused on input before any sign
+    # check; the refusal names the quantity (the fp one by its file key)
     @pytest.mark.parametrize("capacity, argv, quantity", [
         ("-1e-4300", ["analyze", "{doc}"], "capacity of stage 'a' is"),
         ("3", ["plan", "{doc}", "--budget=-1e-4300"], "budget"),
-        ("3", ["fp", "{model}"], "investigation capacity"),
+        ("3", ["fp", "{model}"], "investigation_capacity"),
     ], ids=["analyze-capacity", "plan-budget", "fp-investigation-capacity"])
     def test_refusal_quoting_overlong_value(self, tmp_path, capsys, capacity,
                                             argv, quantity):
@@ -362,6 +363,25 @@ class TestOverlongResults:
         assert quantity in captured.err
         assert "more than 4300 digits" in captured.err
         assert "set_int_max_str_digits" not in captured.err
+
+    # text that Fraction reads, inside the exponent bound, whose exact value
+    # has a numerator or denominator of more than 4300 digits
+    @pytest.mark.parametrize("text", [
+        "1e4300", "-1e-4300", "0." + "1" * 4300, "9" * 3000 + "." + "9" * 3000,
+    ], ids=["1e4300", "-1e-4300", "0.-4300-ones", "3000-dot-3000-digits"])
+    def test_unprintable_input_is_refused(self, tmp_path, capsys, text):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "pipeline": {"name": "", "stages": [{"id": "a", "capacity": text}]},
+        }))
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: capacity of stage 'a' is not an exact rational: value has "
+            "more than 4300 digits in its numerator or denominator, too many "
+            "to print exactly\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "fp"])
@@ -389,8 +409,9 @@ FP_MODEL = json.dumps({
     "samples": ["20", "40", "80"],
 })
 
-# numbers at the 4300 bound on decimal exponents and digits: all are
-# accepted except "1e4301", whose exponent is one past it
+# numbers at the 4300 bound on decimal exponents and digits: "1e4301" is
+# refused for its exponent, "1e4300" and "-1e-4300" for their 4301-digit
+# values, and the rest are accepted
 NEAR_BOUND = st.sampled_from([
     "1e4300", "-1e-4300", "1e4301", "9" * 4300, "1/" + "9" * 4300, 10**4299,
 ])
@@ -439,3 +460,33 @@ def test_mutated_inputs_exit_0_or_1(tmp_path_factory, data):
                  ["plan", f, "--budget", "2"]] if is_doc else [["fp", f]])
     for argv in commands:
         assert main(argv) in (0, 1), argv
+    # and a document that parses is written back and read to the same value
+    if is_doc:
+        try:
+            doc = parse_document(json.dumps(mutated))
+        except DocumentError:
+            return
+        assert parse_document(serialize_document(doc)) == doc
+
+
+# exact text at and past the print limit, in each place a document holds a
+# value: a document that parses is written back and read to the same value
+AT_PRINT_LIMIT = ["1e4299", "1e4300", "-1e-4300", "1e4301", "9" * 4300,
+                  "1/" + "9" * 4300, 10**4299, "0." + "1" * 4299,
+                  "0." + "1" * 4300, "9" * 3000 + "." + "9" * 3000]
+VALUE_PATHS = [("pipeline", "stages", 0, "capacity"), ("scenarios", "boost", "b"),
+               ("authority", "assist_bounds", "a")]
+
+
+def test_values_at_the_print_limit_round_trip_or_are_refused():
+    accepted = set()
+    for path in VALUE_PATHS:
+        for i, value in enumerate(AT_PRINT_LIMIT):
+            text = json.dumps(replaced(json.loads(EXAMPLE_DOC), path, value))
+            try:
+                doc = parse_document(text)
+            except DocumentError:
+                continue
+            accepted.add(i)
+            assert parse_document(serialize_document(doc)) == doc
+    assert accepted == {0, 4, 5, 6, 7}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import pipelines
 from pipecalc import (
+    AuthoritySpec,
     DocumentError,
     Multiplier,
+    Pipeline,
     document_for_pipeline,
     parse_document,
     serialize_document,
@@ -27,6 +30,10 @@ EXAMPLE_DOC = json.dumps({
     "authority": {"human_stages": ["a"], "assist_bounds": {"a": "2"}},
     "scenarios": {"boost": {"b": "2"}},
 })
+
+# 10**4300, the least value whose numerator has more digits than CPython
+# prints
+UNPRINTABLE = Fraction(10) ** 4300
 
 
 class TestParse:
@@ -193,7 +200,26 @@ class TestRoundTrip:
         doc = parse_document(EXAMPLE_DOC)
         assert serialize_document(doc) == serialize_document(doc)
 
-    # accepted: the exponent is within the bound, but 10**4300 has 4301 digits
+    # a value built in code may pass the print limit, though text spelling
+    # it is refused on input (test_overlong_text_is_refused_on_input)
+    @pytest.mark.parametrize("mutate, quantity", [
+        (lambda doc: replace(doc, pipeline=Pipeline(
+            doc.pipeline.stages, {**doc.pipeline.capacity, "a": UNPRINTABLE})),
+         "capacity of stage 'a'"),
+        (lambda doc: replace(doc, scenarios={"boost": Multiplier(
+            {**doc.scenarios["boost"].factor, "b": UNPRINTABLE})}),
+         "factor of stage 'b' in 'boost'"),
+        (lambda doc: replace(doc, authority=AuthoritySpec(
+            doc.authority.human_stages, {"a": UNPRINTABLE})),
+         "assist bound of stage 'a'"),
+    ], ids=["capacity", "factor", "assist-bound"])
+    def test_overlong_value_is_a_named_error(self, mutate, quantity):
+        doc = mutate(parse_document(EXAMPLE_DOC))
+        with pytest.raises(DocumentError) as info:
+            serialize_document(doc)
+        assert str(info.value) == f"{quantity} has too many digits to print exactly"
+
+    # the exponent is within the bound, but 10**4300 has 4301 digits
     @pytest.mark.parametrize("mutate, quantity", [
         (lambda raw: raw["pipeline"]["stages"][0].update(capacity="1e4300"),
          "capacity of stage 'a'"),
@@ -202,13 +228,14 @@ class TestRoundTrip:
         (lambda raw: raw["authority"]["assist_bounds"].update(a="1e4300"),
          "assist bound of stage 'a'"),
     ], ids=["capacity", "factor", "assist-bound"])
-    def test_overlong_value_is_a_named_error(self, mutate, quantity):
+    def test_overlong_text_is_refused_on_input(self, mutate, quantity):
         raw = json.loads(EXAMPLE_DOC)
         mutate(raw)
-        doc = parse_document(json.dumps(raw))
         with pytest.raises(DocumentError) as info:
-            serialize_document(doc)
-        assert str(info.value) == f"{quantity} has too many digits to print exactly"
+            parse_document(json.dumps(raw))
+        assert str(info.value) == (
+            f"{quantity} is not an exact rational: value has more than 4300 "
+            "digits in its numerator or denominator, too many to print exactly")
 
     @given(pipelines())
     def test_random_pipelines_round_trip(self, p):
@@ -218,9 +245,10 @@ class TestRoundTrip:
         assert again.pipeline.stages == p.stages
 
 
-# factors at and just above 1, in several spellings; "1." followed by up to
-# 4298 zeros and a 1 is 1 + 10**-k with every digit written out
-FACTOR_TEXT = st.sampled_from(["1", "1.0", "10e-1", "5/4", "2", "1e4300"]) | st.builds(
+# factors at and just above 1, in several spellings, up to 10**4299, the
+# largest power of ten that prints; "1." followed by up to 4298 zeros and a
+# 1 is 1 + 10**-k with every digit written out
+FACTOR_TEXT = st.sampled_from(["1", "1.0", "10e-1", "5/4", "2", "1e4299"]) | st.builds(
     lambda k: f"1.{'0' * k}1", st.integers(min_value=0, max_value=4298))
 
 

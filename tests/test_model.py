@@ -15,6 +15,7 @@ from pipecalc import (
     ValidationReport,
     bottleneck_report,
     bottleneck_set,
+    ceiling,
     migration_decomposition,
     perturb,
     perturbed_throughput,
@@ -28,7 +29,8 @@ from pipecalc.model import as_fraction, check_admissible
 
 
 # text that as_fraction reads with int() alone, and its neighbours that go
-# to Fraction's parser: either way the result or refusal is Fraction's
+# to Fraction's parser: either way the result or refusal is Fraction's, and
+# a value Fraction reads but that could not be printed back is refused
 _LONG = "7" * 3000
 FAST_PATH_TEXTS = [
     "0", "007", "0/5", "007/010", "5/0", "5/00", "3.25", "3.250", "1.", ".5",
@@ -51,6 +53,20 @@ class _NoParser:
 class _General(str):
     """as_fraction reads digits itself only for a str proper; a subclass
     takes the general path, the exponent bound and then Fraction."""
+
+
+UNPRINTABLE_REFUSAL = (
+    "value has more than 4300 digits in its numerator or denominator, too "
+    "many to print exactly")
+
+
+def _printable_fraction(text):
+    """Fraction(text), refused as as_fraction refuses a value whose
+    numerator or denominator has more than 4300 digits."""
+    x = Fraction(text)
+    if max(abs(x.numerator), x.denominator) >= 10 ** 4300:
+        raise ValueError(UNPRINTABLE_REFUSAL)
+    return x
 
 
 def _conversion(convert, text):
@@ -77,12 +93,25 @@ class TestAsFraction:
         with pytest.raises(ValueError, match="exponent exceeds 4300"):
             as_fraction(text)
 
+    # -25e-4300 is -1/(4 * 10**4298): its normalised denominator prints
     @pytest.mark.parametrize("text, value", [
         ("-25e-4300", -25 / Fraction(10) ** 4300),
-        ("1e0004300", Fraction(10) ** 4300),
+        ("1e0004299", Fraction(10) ** 4299),
     ])
     def test_exponent_within_bound_parses(self, text, value):
         assert as_fraction(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e0004300", "-1e-4300", "0." + "1" * 4300, " 0." + "1" * 4300,
+        f"{_LONG}.{_LONG}",
+    ], ids=["1e4300", "-1e-4300", "0.-4300-ones", "spaced-0.-4300-ones",
+            "3000-dot-3000-digits"])
+    def test_unprintable_value_refused(self, text):
+        # read by int() parts ("0.1...", "7...7.7...7") or, with an exponent
+        # or a space, by Fraction's parser: the refusal is the same
+        with pytest.raises(ValueError) as info:
+            as_fraction(text)
+        assert str(info.value) == UNPRINTABLE_REFUSAL
 
     def test_fraction_subclass_converted(self):
         class Tagged(Fraction):
@@ -99,7 +128,8 @@ class TestAsFraction:
         "space-in-ratio", "exponent", "4301-digits", "4301-digit-denominator",
         "3000-dot-3000-digits"])
     def test_text_converts_as_fraction_does(self, text):
-        assert _conversion(as_fraction, text) == _conversion(Fraction, text)
+        assert _conversion(as_fraction, text) == _conversion(
+            _printable_fraction, text)
 
     def test_digit_spellings_bypass_fractions_parser(self, monkeypatch):
         monkeypatch.setattr("fractions._RATIONAL_FORMAT", _NoParser())
@@ -152,6 +182,28 @@ class TestCheckAdmissible:
         assert len(message) < 300
         assert message.startswith("missing factors for stages ['kkk")
         assert "; factors for unknown stages ['uuu" in message
+
+
+# refusals that list stage ids quote the list through the model's quoting:
+# a short list is written whole, and one 100,000-character id or a
+# thousand short ones are cut to a few lines
+@pytest.mark.parametrize("build, prefix", [
+    (lambda ids: CostModel(dict.fromkeys(ids, 0), 1),
+     "unit costs must be > 0; offending: "),
+    (lambda ids: AuthoritySpec(ids, dict.fromkeys(ids, "1/2")),
+     "assist bounds below 1: "),
+    (lambda ids: ceiling(Pipeline(("a",), {"a": 1}), AuthoritySpec(ids)),
+     "pinned stages not in pipeline: "),
+], ids=["unit-costs", "assist-bounds", "pinned-stages"])
+def test_stage_lists_in_refusals_are_bounded(build, prefix):
+    with pytest.raises(ValueError) as info:
+        build(["y", "x"])
+    assert str(info.value) == prefix + "['x', 'y']"
+    for ids in (["x" * 100_000], [f"stage-{i}" for i in range(1000)]):
+        with pytest.raises(ValueError) as info:
+            build(ids)
+        message = str(info.value)
+        assert message.startswith(prefix + "['") and len(message) < 200
 
 
 class TestThroughput:
@@ -394,7 +446,8 @@ def test_core_matches_fraction_oracle(pm):
 # -- constructor sign checks at the boundary ---------------------------------
 
 # 0, 1, their neighbours 1 ± 10**-k and ±10**-k up to k = 4300, and
-# negative values; from k = 4300 on, 10**k has too many digits to print.
+# negative values; from k = 4300 on, 10**k has too many digits to print,
+# and text spelling such a value is refused before any sign check.
 # A drawn (base, sign, k) stands for base + sign * 10**-k, so that no
 # unprintable Fraction appears in an example's repr
 K = st.integers(min_value=0, max_value=4300)
@@ -447,6 +500,7 @@ def _quoted(v: Fraction) -> str:
 @example([(1, -1, 4300)])
 @example([(0, 1, 4300), (0, -1, 4299), 1])
 @example([(1, 1, 4300), (0, -1, 4300)])
+@example(["1", "-1e-4300"])
 def test_sign_checks_match_fraction_comparison(drawn):
     # the constructors read signs off numerators and denominators; they
     # refuse exactly what `<`/`<=` against 0 and 1 refused, with the same
@@ -454,6 +508,12 @@ def test_sign_checks_match_fraction_comparison(drawn):
     values = [_boundary_value(v) for v in drawn]
     stages = [f"s{i}" for i in range(len(values))]
     raw = dict(zip(stages, values))
+    if any(_outcome(lambda: as_fraction(v)) for v in values):
+        for build in (lambda: Pipeline(stages, raw), lambda: Multiplier(raw),
+                      lambda: AuthoritySpec(stages, raw),
+                      lambda: CostModel(raw, 0)):
+            assert _outcome(build) == (ValueError, UNPRINTABLE_REFUSAL)
+        return
     exact = {s: as_fraction(v) for s, v in raw.items()}
     nonpositive = [s for s in stages if exact[s] <= 0]
     below_one = sorted(s for s in stages if exact[s] < 1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -224,3 +225,65 @@ def test_water_level_on_hard_capacities(caps, data):
     assert res.spent == unit_cost[b] * (factor - 1)
     assert res.achieved_throughput == min(
         res.multiplier.factor[s] * p.capacity[s] for s in stages)
+
+
+def fraction_sweep(p: Pipeline, c: CostModel):
+    """The max-min sweep as it ran on Fraction operators before it moved to
+    integer pairs: the reference for `maxmin_allocation`."""
+    cap, cost = p.capacity, c.unit_cost
+    ordered = sorted(p.stages, key=lambda s: cap[s])
+    raised_cost = raised_weight = Fraction(0)
+    for k, s in enumerate(ordered, start=1):
+        raised_cost += cost[s]
+        raised_weight += cost[s] / cap[s]
+        target = (c.budget + raised_cost) / raised_weight
+        if k == len(ordered) or target <= cap[ordered[k]]:
+            break
+    factors = dict.fromkeys(p.stages, Fraction(1))
+    for s in ordered[:k]:
+        factors[s] = max(Fraction(1), target / cap[s])
+    spent = sum(cost[s] * (factors[s] - 1) for s in ordered[:k])
+    return Multiplier(factors), perturbed_throughput(p, Multiplier(factors)), spent
+
+
+def assert_matches_fraction_sweep(p: Pipeline, c: CostModel):
+    res = maxmin_allocation(p, c)
+    mult, achieved, spent = fraction_sweep(p, c)
+    assert res.multiplier == mult
+    assert res.achieved_throughput == achieved
+    assert res.spent == spent
+    assert all(type(v) is Fraction for v in (
+        *res.multiplier.factor.values(), res.achieved_throughput, res.spent))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(hard_capacities(), st.data())
+def test_integer_sweep_matches_fraction_sweep(caps, data):
+    stages = tuple(f"s{i}" for i in range(len(caps)))
+    p = Pipeline(stages, dict(zip(stages, caps)))
+    unit_cost = {s: data.draw(fractions(max_num=10, max_den=4)) for s in stages}
+    # no budget, a budget that reaches a capacity exactly (the `<=` tie of
+    # the sweep), one that lifts past every capacity (every stage raised),
+    # or an arbitrary one
+    kind = data.draw(st.sampled_from(["zero", "breakpoint", "past-all", "any"]))
+    if kind == "zero":
+        budget = Fraction(0)
+    elif kind == "breakpoint":
+        budget = cost_to_reach(p, unit_cost, data.draw(st.sampled_from(caps)))
+    elif kind == "past-all":
+        budget = cost_to_reach(p, unit_cost, max(caps)) + data.draw(
+            fractions(max_num=100, max_den=7))
+    else:
+        budget = data.draw(fractions(min_num=0, max_num=100, max_den=7))
+    assert_matches_fraction_sweep(p, CostModel(unit_cost, budget))
+
+
+def test_integer_sweep_matches_fraction_sweep_on_1000_stages_all_raised():
+    rng = random.Random(13)
+    stages = tuple(f"s{i}" for i in range(1000))
+    p = Pipeline(stages, {
+        s: Fraction(rng.randint(1, 10**6), rng.randint(1, 1000)) for s in stages})
+    unit_cost = {s: Fraction(rng.randint(1, 50), rng.randint(1, 9)) for s in stages}
+    c = CostModel(unit_cost, 10**12)
+    assert_matches_fraction_sweep(p, c)
+    assert all(f > 1 for f in maxmin_allocation(p, c).multiplier.factor.values())
