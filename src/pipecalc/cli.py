@@ -47,8 +47,11 @@ from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_
 
 
 def _factors(mult) -> dict[str, str]:
-    return {s: _text(f, "factor of stage {}", s)
-            for s, f in sorted(mult.factor.items())}
+    items = sorted(mult.factor.items())
+    try:
+        return {s: str(f) for s, f in items}
+    except ValueError:  # the int-string digit limit: _text names the stage
+        return {s: _text(f, "factor of stage {}", s) for s, f in items}
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:

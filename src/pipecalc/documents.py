@@ -34,6 +34,7 @@ from .model import (
     Pipeline,
     ValidationReport,
     _quoted,
+    _TooLong,
     as_fraction,
     validate_pipeline,
 )
@@ -84,6 +85,8 @@ def _exact(text, what: str, *names) -> Fraction:
         return as_fraction(text)  # refuses bools and floats too
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         what = what.format(*map(_quoted, names))
+        if isinstance(exc, _TooLong):  # exact: name it in place of "value"
+            raise DocumentError(what + str(exc).removeprefix("value")) from None
         if isinstance(text, (bool, float)):
             raise DocumentError(
                 f"{what} must be exact text or an integer, got {text!r}"

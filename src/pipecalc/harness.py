@@ -42,8 +42,8 @@ from .model import ONE, Multiplier, Pipeline, perturbed_throughput
 CAPACITY_GRID = tuple(Fraction(i) for i in range(1, 11))
 # factor 1 listed twice: ties kept at factor 1 are the interesting case
 FACTOR_GRID = (
-    Fraction(1),
-    Fraction(1),
+    ONE,
+    ONE,
     Fraction(3, 2),
     Fraction(2),
     Fraction(5),

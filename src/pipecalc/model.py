@@ -62,6 +62,10 @@ def _shown(value) -> str:
         return f"<a value of more than {MAX_EXPONENT} digits>"
 
 
+class _TooLong(ValueError):
+    """An exact value refused for its size alone; the message starts "value"."""
+
+
 def _printable(x: Fraction) -> Fraction:
     """`x`, refused unless its numerator and denominator have at most
     MAX_EXPONENT digits, the most that CPython prints as text.
@@ -72,7 +76,7 @@ def _printable(x: Fraction) -> Fraction:
     digits/digits need no check at all: int() bounds each part, and
     normalising only shrinks them."""
     if abs(x.numerator) >= _UNPRINTABLE or x.denominator >= _UNPRINTABLE:
-        raise ValueError(
+        raise _TooLong(
             f"value has more than {MAX_EXPONENT} digits in its numerator or "
             "denominator, too many to print exactly")
     return x
@@ -199,7 +203,8 @@ class Pipeline:
         capacity: Mapping[str, RationalInput],
     ):
         stage_tuple = tuple(stages)
-        cap = {s: as_fraction(c) for s, c in capacity.items()}
+        cap = {s: c if type(c) is Fraction else as_fraction(c)
+               for s, c in capacity.items()}
         violations = _check_description(stage_tuple, cap)
         if violations:
             raise PipelineValidationError(ValidationReport(tuple(violations)))
@@ -229,8 +234,9 @@ class Multiplier:
     factor: Mapping[str, Fraction]
 
     def __init__(self, factor: Mapping[str, RationalInput]):
-        f = {s: as_fraction(v) for s, v in factor.items()}
-        bad = [s for s, v in f.items() if v.numerator < v.denominator]
+        f = {s: v if type(v) is Fraction else as_fraction(v)
+             for s, v in factor.items()}
+        bad = [s for s, v in f.items() if v is not ONE and v.numerator < v.denominator]
         if bad:
             raise AdmissibilityError(
                 f"factors below 1 are inadmissible: {_quoted(sorted(bad))}"

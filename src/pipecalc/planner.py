@@ -26,6 +26,8 @@ clamp at 1: the first target is c_1 * (1 + B/u_1), and each later one lies
 between the previous target, which passed the new capacity, and that
 capacity, so t is at least every raised capacity.  Every later stage already
 has capacity at least t, keeps factor 1 and adds nothing to the spend.
+So t is the throughput reached, and both allocators return the level they
+built; the tests and perfbench/oracle.py recompute it from the factors.
 
 Cost linear in (factor - 1) is a modelling choice; the max-min sweep's
 closed form for each segment relies on it.
@@ -48,7 +50,6 @@ from .model import (
     _shown,
     as_fraction,
     bottleneck_report,
-    perturbed_throughput,
 )
 
 
@@ -90,6 +91,9 @@ class CostModel:
 
 @dataclass(frozen=True)
 class AllocationResult:
+    """`achieved_throughput` is the level the allocator built; see the module
+    docstring."""
+
     multiplier: Multiplier
     achieved_throughput: Fraction
     spent: Fraction
@@ -125,10 +129,10 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     spent = c.unit_cost[b] * (factor_b - 1)
     factors = dict.fromkeys(p.stages, ONE)
     factors[b] = factor_b
-    mult = Multiplier(factors)
     return AllocationResult(
-        multiplier=mult,
-        achieved_throughput=perturbed_throughput(p, mult),
+        multiplier=Multiplier(factors),
+        # b reaches at most the runner-up, and every other stage has at least it
+        achieved_throughput=factor_b * cap[b],
         spent=spent,
     )
 
@@ -177,10 +181,9 @@ def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     for stage in ordered[:k]:
         x = cap[stage]
         factors[stage] = Fraction(t_n * x.denominator, t_d * x.numerator)
-    mult = Multiplier(factors)
     return AllocationResult(
-        multiplier=mult,
-        achieved_throughput=perturbed_throughput(p, mult),
+        multiplier=Multiplier(factors),
+        achieved_throughput=target,
         # sum of u * (t/c - 1) over the raised prefix, t factored out
         spent=Fraction(t_n * w - t_d * u_sum, t_d * d),
     )

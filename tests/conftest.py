@@ -1,9 +1,34 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+import pipecalc.model as model
 from pipecalc import Multiplier, Pipeline
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """A Counter of calls to each of the pipecalc.model functions `names`.
+    Every pipecalc module that holds one of these names calls a counting
+    wrapper instead, so calls made inside model are counted as well."""
+    counts = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    for name in names:
+        original = getattr(model, name)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.partition(".")[0] == "pipecalc"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
 
 
 @pytest.fixture

@@ -1,11 +1,8 @@
-import sys
-from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given
 
-import pipecalc.model as model
-from conftest import pipeline_with_multiplier, pipelines
+from conftest import count_calls, pipeline_with_multiplier, pipelines
 from pipecalc import (
     Multiplier,
     Outcome,
@@ -126,25 +123,8 @@ class TestVerifyCharacterizations:
 
 def test_one_pass_per_perturbation(example_pipeline, tmp_path, monkeypatch,
                                    capsys):
-    # every pipecalc module that holds one of these names calls a counting
-    # wrapper instead, so calls made inside model are counted as well
     names = ("check_admissible", "_capacity_argmin", "_products")
-    counts = Counter()
-
-    def counting(name, original):
-        def counted(*args):
-            counts[name] += 1
-            return original(*args)
-        return counted
-
-    for name in names:
-        original = getattr(model, name)
-        wrapper = counting(name, original)
-        for module_name, module in list(sys.modules.items()):
-            if (module_name.partition(".")[0] == "pipecalc"
-                    and getattr(module, name, None) is original):
-                monkeypatch.setattr(module, name, wrapper)
-
+    counts = count_calls(monkeypatch, names)
     path = tmp_path / "pipeline.json"
     path.write_text(EXAMPLE_DOC)
     assert main(["perturb", str(path), "--scenario", "boost"]) == 0

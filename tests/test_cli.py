@@ -336,11 +336,29 @@ class TestOverlongResults:
         assert captured.out == ""
         assert f"error: {quantity} has too many digits" in captured.err
 
+    def test_plan_names_first_unprintable_factor(self, tmp_path, capsys):
+        # b and c are raised together to t = (B + 2) / (P + Q), so b's factor
+        # t * P has a numerator of about 4320 digits; a keeps factor 1
+        p, q = 10**4299 + 1, 10**4299 - 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "pipeline": {"name": "big", "stages": [
+                {"id": "a", "capacity": "5"},
+                {"id": "b", "capacity": f"1/{p}"},
+                {"id": "c", "capacity": f"1/{q}"}]},
+        }))
+        assert main(["plan", str(path), "--budget", str(10**20)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: factor of stage 'b' has too many digits to print exactly\n")
+
     # "-1e-4300" is exact and inside the exponent bound, but its denominator
     # 10**4300 has 4301 digits, so it is refused on input before any sign
     # check; the refusal names the quantity (the fp one by its file key)
     @pytest.mark.parametrize("capacity, argv, quantity", [
-        ("-1e-4300", ["analyze", "{doc}"], "capacity of stage 'a' is"),
+        ("-1e-4300", ["analyze", "{doc}"], "capacity of stage 'a'"),
         ("3", ["plan", "{doc}", "--budget=-1e-4300"], "budget"),
         ("3", ["fp", "{model}"], "investigation_capacity"),
     ], ids=["analyze-capacity", "plan-budget", "fp-investigation-capacity"])
@@ -360,8 +378,7 @@ class TestOverlongResults:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert quantity in captured.err
-        assert "more than 4300 digits" in captured.err
+        assert f"error: {quantity} has more than 4300 digits" in captured.err
         assert "set_int_max_str_digits" not in captured.err
 
     # text that Fraction reads, inside the exponent bound, whose exact value
@@ -379,9 +396,8 @@ class TestOverlongResults:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: capacity of stage 'a' is not an exact rational: value has "
-            "more than 4300 digits in its numerator or denominator, too many "
-            "to print exactly\n")
+            "error: capacity of stage 'a' has more than 4300 digits in its "
+            "numerator or denominator, too many to print exactly\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "fp"])

@@ -234,8 +234,8 @@ class TestRoundTrip:
         with pytest.raises(DocumentError) as info:
             parse_document(json.dumps(raw))
         assert str(info.value) == (
-            f"{quantity} is not an exact rational: value has more than 4300 "
-            "digits in its numerator or denominator, too many to print exactly")
+            f"{quantity} has more than 4300 digits in its numerator or "
+            "denominator, too many to print exactly")
 
     @given(pipelines())
     def test_random_pipelines_round_trip(self, p):

@@ -25,7 +25,7 @@ from pipecalc import (
 from pipecalc.ceiling import ConfigurationError
 from pipecalc.characterize import scan_min
 from pipecalc.planner import CostModelError
-from pipecalc.model import as_fraction, check_admissible
+from pipecalc.model import ONE, _TooLong, as_fraction, check_admissible
 
 
 # text that as_fraction reads with int() alone, and its neighbours that go
@@ -62,10 +62,11 @@ UNPRINTABLE_REFUSAL = (
 
 def _printable_fraction(text):
     """Fraction(text), refused as as_fraction refuses a value whose
-    numerator or denominator has more than 4300 digits."""
+    numerator or denominator has more than 4300 digits: with the ValueError
+    subclass that lets a document name the value in its place."""
     x = Fraction(text)
     if max(abs(x.numerator), x.denominator) >= 10 ** 4300:
-        raise ValueError(UNPRINTABLE_REFUSAL)
+        raise _TooLong(UNPRINTABLE_REFUSAL)
     return x
 
 
@@ -276,6 +277,39 @@ class TestPerturb:
     def test_factor_below_one(self):
         with pytest.raises(AdmissibilityError):
             Multiplier({"a": Fraction(1, 2)})
+
+
+class _Tagged(Fraction):
+    """A Fraction subclass: the constructors convert it like any input."""
+
+
+class TestConstructorFastPaths:
+    # a plain Fraction is kept as given and a factor that is ONE is not
+    # sign-checked; everything else is still converted and checked
+
+    def test_factor_below_one_among_identity_defaults(self):
+        factors = dict.fromkeys((f"s{i:03}" for i in range(999)), ONE)
+        factors["half"] = Fraction(1, 2)
+        with pytest.raises(AdmissibilityError) as info:
+            Multiplier(factors)
+        assert str(info.value) == "factors below 1 are inadmissible: ['half']"
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, 2.0, True, False])
+    def test_float_or_bool_factor_refused(self, value):
+        with pytest.raises(TypeError):
+            Multiplier({"a": ONE, "b": value})
+
+    def test_fraction_subclass_factor_checked(self):
+        with pytest.raises(AdmissibilityError, match=r"\['b'\]"):
+            Multiplier({"a": ONE, "b": _Tagged(1, 2)})
+        factor = Multiplier({"a": ONE, "b": _Tagged(3, 2)}).factor["b"]
+        assert type(factor) is Fraction and factor == Fraction(3, 2)
+
+    def test_fraction_subclass_capacity_checked(self):
+        with pytest.raises(PipelineValidationError, match="assumption 2"):
+            Pipeline(("a",), {"a": _Tagged(-1, 2)})
+        cap = Pipeline(("a",), {"a": _Tagged(3, 2)}).capacity["a"]
+        assert type(cap) is Fraction and cap == Fraction(3, 2)
 
 
 class TestPerturbedThroughput:
@@ -512,7 +546,7 @@ def test_sign_checks_match_fraction_comparison(drawn):
         for build in (lambda: Pipeline(stages, raw), lambda: Multiplier(raw),
                       lambda: AuthoritySpec(stages, raw),
                       lambda: CostModel(raw, 0)):
-            assert _outcome(build) == (ValueError, UNPRINTABLE_REFUSAL)
+            assert _outcome(build) == (_TooLong, UNPRINTABLE_REFUSAL)
         return
     exact = {s: as_fraction(v) for s, v in raw.items()}
     nonpositive = [s for s in stages if exact[s] <= 0]

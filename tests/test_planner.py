@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fractions, pipelines
+import pipecalc.model as model
+from conftest import count_calls, fractions, pipelines
 from pipecalc import (
     CostModel,
     Multiplier,
     Pipeline,
     TiedBottleneckError,
+    bottleneck_set,
     maxmin_allocation,
     perturbed_throughput,
     throughput,
@@ -112,6 +114,26 @@ def test_feasible_and_no_worse_than_baseline(p, budget):
     assert res.spent == budget
     assert res.achieved_throughput == perturbed_throughput(p, res.multiplier)
     assert res.achieved_throughput >= throughput(p)
+
+
+@given(pipelines(), st.integers(min_value=0, max_value=6))
+def test_trivial_level_is_perturbed_throughput(p, budget):
+    assume(len(bottleneck_set(p)) == 1)
+    res = trivial_allocation(p, CostModel.uniform(p, budget))
+    assert res.achieved_throughput == perturbed_throughput(p, res.multiplier)
+
+
+def test_allocators_make_no_second_pass(example_pipeline, monkeypatch):
+    names = ("_products", "perturbed_throughput")
+    counts = count_calls(monkeypatch, names)
+    p = example_pipeline
+    for budget in (0, 1, 6):
+        for allocate in (trivial_allocation, maxmin_allocation):
+            res = allocate(p, CostModel.uniform(p, budget))
+    assert not counts
+    # the wrappers are live: one recomputation is counted once each
+    assert model.perturbed_throughput(p, res.multiplier) == res.achieved_throughput
+    assert dict(counts) == dict.fromkeys(names, 1)
 
 
 @given(pipelines(max_stages=4), st.integers(min_value=0, max_value=5))
