@@ -65,8 +65,10 @@ def ratio_report(attacker: Pipeline, aA: Multiplier,
     gain_d = td_new / td
 
     # both formulations of "favours the attacker" must agree exactly
-    by_ratio = perturbed > baseline
-    by_gain = gain_a > gain_d
+    by_ratio = (perturbed.numerator * baseline.denominator
+                > baseline.numerator * perturbed.denominator)
+    by_gain = (gain_a.numerator * gain_d.denominator
+               > gain_d.numerator * gain_a.denominator)
     if by_ratio != by_gain:
         raise InternalCheckError(
             f"ratio comparison {perturbed} > {baseline} is {by_ratio} but "
@@ -90,6 +92,8 @@ def defender_misses_bottleneck(attacker: Pipeline, aA: Multiplier,
     _check_side(attacker, aA, "attacker")
     _check_side(defender, aD, "defender")
 
-    attacker_all = all(aA.factor[s] > 1 for s in bottleneck_set(attacker))
-    defender_some = any(aD.factor[s] == 1 for s in bottleneck_set(defender))
+    attacker_all = all((f := aA.factor[s]).numerator > f.denominator
+                       for s in bottleneck_set(attacker))
+    defender_some = any((f := aD.factor[s]).numerator == f.denominator
+                        for s in bottleneck_set(defender))
     return attacker_all and defender_some

@@ -4,7 +4,9 @@ If a nonempty set of stages H is pinned to factor 1 (human-authority
 stages), no admissible perturbation can push throughput past the smallest
 capacity in H.  The bound is tight: `tightness_witness` builds an explicit
 multiplier achieving it exactly, by raising every non-pinned stage far
-enough that none of them can be the minimum.
+enough that none of them can be the minimum.  Both take their minima on
+integer pairs with `model._argmin`, as `throughput` does, and the witness's
+factor is an integer floor division.
 
 The assist-bound variant (each pinned stage allowed a factor up to a given
 bound) yields the analogous bound min over H of bound * capacity; it is
@@ -13,7 +15,6 @@ reported as an upper bound only, with no tightness construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -24,6 +25,7 @@ from .model import (
     Multiplier,
     Pipeline,
     RationalInput,
+    _capacity_argmin,
     _quoted,
     as_fraction,
 )
@@ -74,7 +76,7 @@ class AuthoritySpec:
 def _require_nonempty(p: Pipeline, h: AuthoritySpec) -> None:
     if not h.human_stages:
         raise UndefinedCeilingError("pinned stage set is empty")
-    unknown = sorted(h.human_stages - set(p.stages))
+    unknown = sorted(s for s in h.human_stages if s not in p.capacity)
     if unknown:
         raise ConfigurationError(
             f"pinned stages not in pipeline: {_quoted(unknown)}")
@@ -85,12 +87,13 @@ def ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:
     throughput of every perturbation that leaves the pinned stages at
     factor 1."""
     _require_nonempty(p, h)
-    return min(p.capacity[s] for s in h.human_stages)
+    return p.capacity[_capacity_argmin(p, h.human_stages)[2][0]]
 
 
 def is_h_admissible(a: Multiplier, h: AuthoritySpec) -> bool:
     """True iff every pinned stage keeps factor exactly 1."""
-    return all(a.factor.get(s) == 1 for s in h.human_stages)
+    return all((f := a.factor.get(s)) is not None and f.numerator == f.denominator
+               for s in h.human_stages)
 
 
 def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
@@ -106,9 +109,10 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
     machine = [s for s in p.stages if s not in h.human_stages]
     if not machine:
         return Multiplier.identity(p)
-    cap_h = ceiling(p, h)
-    machine_min = min(p.capacity[s] for s in machine)
-    n = Fraction(math.ceil(cap_h / machine_min) + 1)
+    hn, hd, _ = _capacity_argmin(p, h.human_stages)
+    mn, md, _ = _capacity_argmin(p, machine)
+    # ceil((hn/hd) / (mn/md)), all four positive
+    n = Fraction(-(-hn * md // (hd * mn)) + 1)
     return Multiplier({s: ONE if s in h.human_stages else n for s in p.stages})
 
 

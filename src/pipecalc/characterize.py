@@ -177,13 +177,12 @@ def scan_min(values) -> Fraction:
 
 def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerdict:
     cls, rep, decomp = _analyse(p, a)  # refuses an inadmissible multiplier
-    caps = [p.capacity[s] for s in p.stages]
-    base = scan_min(caps)
-    new = scan_min([a.factor[s] * p.capacity[s] for s in p.stages])
+    base = scan_min([p.capacity[s] for s in p.stages])
+    # each stage's perturbed capacity, a Fraction product built once
+    product = {s: a.factor[s] * p.capacity[s] for s in p.stages}
+    new = scan_min(product.values())
     before = frozenset(s for s in p.stages if p.capacity[s] == base)
-    after = frozenset(
-        s for s in p.stages if a.factor[s] * p.capacity[s] == new
-    )
+    after = frozenset(s for s in p.stages if product[s] == new)
 
     failures = []
 
@@ -214,7 +213,7 @@ def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerd
     # preservation iff (i) and (ii)
     cond_i = len({a.factor[s] for s in before}) == 1
     cond_ii = all(
-        a.factor[u] * p.capacity[u] < a.factor[w] * p.capacity[w]
+        product[u] < product[w]
         for u in before
         for w in p.stages
         if w not in before

@@ -97,6 +97,17 @@ def _exact(text, what: str, *names) -> Fraction:
         raise DocumentError(f"{what} is not an exact rational: {reason}") from None
 
 
+def _exact_once(memo: dict, text, what: str, *names) -> Fraction:
+    """`_exact(text, what, *names)`, kept in `memo` per distinct str `text`;
+    no other type is a key, since True == 1 == 1.0 would share an entry."""
+    if type(text) is not str:
+        return _exact(text, what, *names)
+    x = memo.get(text)
+    if x is None:
+        x = memo[text] = _exact(text, what, *names)
+    return x
+
+
 def _json(text: str, refusal: str):
     """`text` parsed as JSON; a refusal reads `refusal: reason`."""
     try:
@@ -146,6 +157,8 @@ def parse_document(text: str) -> PipelineDocument:
             "invalid pipeline: " + "; ".join(result.violations)
         )
     pipeline = result
+    cap = pipeline.capacity
+    memo: dict = {}  # factor and bound texts converted so far
 
     authority = None
     if "authority" in raw:
@@ -155,7 +168,7 @@ def parse_document(text: str) -> PipelineDocument:
         human = auth_raw["human_stages"]
         if not isinstance(human, list) or not all(isinstance(s, str) for s in human):
             raise DocumentError("authority.human_stages must be a list of stage ids")
-        unknown = sorted(set(human) - set(pipeline.stages))
+        unknown = sorted({s for s in human if s not in cap})
         if unknown:
             raise DocumentError(f"authority names unknown stages {_quoted(unknown)}")
         bounds = None
@@ -165,7 +178,7 @@ def parse_document(text: str) -> PipelineDocument:
                     "authority.assist_bounds must map stage ids to bounds"
                 )
             bounds = {
-                s: _exact(v, "assist bound of stage {}", s)
+                s: _exact_once(memo, v, "assist bound of stage {}", s)
                 for s, v in auth_raw["assist_bounds"].items()
             }
         try:
@@ -181,13 +194,14 @@ def parse_document(text: str) -> PipelineDocument:
         if not isinstance(factors_raw, dict):
             raise DocumentError(
                 f"scenario {_quoted(scen_name)} must map stages to factors")
-        unknown = sorted(set(factors_raw) - set(pipeline.stages))
+        unknown = sorted(s for s in factors_raw if s not in cap)
         if unknown:
             raise DocumentError(f"scenario {_quoted(scen_name)} names "
                                 f"unknown stages {_quoted(unknown)}")
         factors = dict.fromkeys(pipeline.stages, ONE)
         for s, v in factors_raw.items():
-            factors[s] = _exact(v, "factor of stage {} in {}", s, scen_name)
+            factors[s] = _exact_once(memo, v, "factor of stage {} in {}",
+                                     s, scen_name)
         try:
             scenarios[scen_name] = Multiplier(factors)
         except ValueError as exc:

@@ -91,9 +91,9 @@ def generate_dominating(cfg: GeneratorConfig, index: int,
     """A multiplier that dominates `a` stagewise (each factor scaled by a
     further grid draw)."""
     rng = _rng(cfg, index, "dominate")
-    return Multiplier(
-        {s: f * rng.choice(FACTOR_GRID) for s, f in a.factor.items()}
-    )
+    draws = [rng.choice(FACTOR_GRID) for _ in a.factor]
+    return Multiplier({s: f if g is ONE else g if f is ONE else f * g
+                       for (s, f), g in zip(a.factor.items(), draws)})
 
 
 def generate_authority(cfg: GeneratorConfig, index: int,
@@ -203,11 +203,13 @@ def check_adversarial(attacker: Pipeline, aA: Multiplier,
     td = scan_min(defender.capacity.values())
     ta_new = scan_min([aA.factor[s] * c for s, c in attacker.capacity.items()])
     td_new = scan_min([aD.factor[s] * c for s, c in defender.capacity.items()])
-    by_ratio = ta_new / td_new > ta / td
-    recomputed = (ta / td, ta_new / td_new, ta_new / ta, td_new / td, by_ratio)
+    baseline, perturbed = ta / td, ta_new / td_new
+    gain_a, gain_d = ta_new / ta, td_new / td
+    by_ratio = perturbed > baseline
+    recomputed = (baseline, perturbed, gain_a, gain_d, by_ratio)
     reported = (rep.baseline_ratio, rep.perturbed_ratio, rep.attacker_gain,
                 rep.defender_gain, rep.favours_attacker)
-    if reported != recomputed or by_ratio != (ta_new / ta > td_new / td):
+    if reported != recomputed or by_ratio != (gain_a > gain_d):
         failures.append("ratio/gain equivalence violated on recomputation")
     if rep.baseline_ratio <= 0 or rep.perturbed_ratio <= 0:
         failures.append("ratios must be strictly positive")

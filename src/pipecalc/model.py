@@ -11,7 +11,8 @@ rejected at the boundary: the equality and tie structure the analysis relies
 on would not survive binary rounding.  Minima and ties are decided by
 integer cross-multiplication of numerators and denominators (`_argmin`),
 which is exact and builds no intermediate Fraction; every result returned
-is still a Fraction.  The constructors' sign checks (capacity > 0, factor
+is still a Fraction; `ceiling` and `tightness_witness` take their minima
+the same way.  The constructors' sign checks (capacity > 0, factor
 >= 1, and their relatives in `ceiling` and `planner`) read the sign off the
 normalised numerator and denominator, and `characterize` decides whether
 throughput changed, and preservation's separation test, on unreduced integer
@@ -63,7 +64,8 @@ def _shown(value) -> str:
 
 
 class _TooLong(ValueError):
-    """An exact value refused for its size alone; the message starts "value"."""
+    """An exact value refused for its size alone, its digits or its decimal
+    exponent; the message starts "value"."""
 
 
 def _printable(x: Fraction) -> Fraction:
@@ -139,7 +141,8 @@ def as_fraction(value: RationalInput) -> Fraction:
         digits = exponent.replace("_", "").lstrip("0")
         # the length test comes first: int() of a long digit string is slow
         if digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
-            raise ValueError(f"decimal exponent exceeds {MAX_EXPONENT} in magnitude")
+            raise _TooLong(f"value has a decimal exponent above {MAX_EXPONENT} in "
+                           "magnitude, too large to expand exactly")
         return _printable(Fraction(value))
     x = Fraction(value)
     return _printable(x) if isinstance(value, str) and len(value) > MAX_EXPONENT else x
@@ -306,10 +309,12 @@ def _argmin(triples: Iterable[tuple[str, int, int]]) -> tuple[int, int, list[str
     return best_n, best_d, ties
 
 
-def _capacity_argmin(p: Pipeline) -> tuple[int, int, list[str]]:
-    """`_argmin` of the capacities, in stage order."""
+def _capacity_argmin(p: Pipeline,
+                     stages: Iterable[str] | None = None) -> tuple[int, int, list[str]]:
+    """`_argmin` of the capacities of `stages`, by default all in stage order."""
     cap = p.capacity
-    return _argmin([(s, (c := cap[s]).numerator, c.denominator) for s in p.stages])
+    return _argmin([(s, (c := cap[s]).numerator, c.denominator)
+                    for s in (p.stages if stages is None else stages)])
 
 
 def _products(p: Pipeline, a: Multiplier,

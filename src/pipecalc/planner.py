@@ -71,7 +71,8 @@ class CostModel:
 
     def __init__(self, unit_cost: Mapping[str, RationalInput],
                  budget: RationalInput):
-        costs = {s: as_fraction(c) for s, c in unit_cost.items()}
+        costs = {s: c if type(c) is Fraction else as_fraction(c)
+                 for s, c in unit_cost.items()}
         # denominators are positive, so the numerator carries the sign
         bad = sorted(s for s, c in costs.items() if c.numerator <= 0)
         if bad:

@@ -1,14 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import pipeline_with_multiplier
+from conftest import pipeline_with_multiplier, pipelines
 from pipecalc import (
     AuthoritySpec,
     ConfigurationError,
     Multiplier,
+    Pipeline,
     UndefinedCeilingError,
     ceiling,
     generalized_ceiling,
@@ -147,3 +149,48 @@ def test_assist_bound_dominates(pm, data):
          for s, f in a.factor.items()}
     )
     assert perturbed_throughput(p, capped) <= generalized_ceiling(p, h)
+
+
+# n/d against n'/d' with 30-digit parts that differ by at most one, so the
+# minimum is decided by the last digits of the cross-products
+DIGITS_30 = st.integers(min_value=10**29, max_value=10**30 - 1)
+
+
+@st.composite
+def near_tied_pipelines(draw):
+    n, d = draw(DIGITS_30), draw(DIGITS_30)
+    k = draw(st.integers(min_value=1, max_value=6))
+    nudge = st.integers(min_value=-1, max_value=1)
+    stages = tuple(f"s{i}" for i in range(k))
+    return Pipeline(stages, {s: Fraction(n + draw(nudge), d + draw(nudge))
+                             for s in stages})
+
+
+# a machine stage at exactly a third of the pinned one: the ratio is an
+# integer, where a rounding slip in the ceiling division would show
+_THIRD = Pipeline(("h", "m"), {"h": Fraction(10**30 - 7, 10**29 + 3),
+                               "m": Fraction(10**30 - 7, 3 * (10**29 + 3))})
+
+
+@st.composite
+def pinned_pipelines(draw):
+    p = draw(st.one_of(pipelines(), near_tied_pipelines()))
+    return p, draw(st.sets(st.sampled_from(p.stages), min_size=1))
+
+
+@given(pinned_pipelines())
+@example((_THIRD, {"h"}))
+def test_integer_minima_match_fraction_reference(ph):
+    # ceiling and the witness decide their minima on integer pairs; the
+    # reference is min over Fractions and math.ceil of a Fraction quotient
+    p, human = ph
+    h = AuthoritySpec(human)
+    cap = ceiling(p, h)
+    assert type(cap) is Fraction
+    assert cap == min(p.capacity[s] for s in human)
+    w = tightness_witness(p, h)
+    assert all(w.factor[s] == 1 for s in human)
+    machine = [s for s in p.stages if s not in human]
+    if machine:
+        n = math.ceil(cap / min(p.capacity[s] for s in machine)) + 1
+        assert all(w.factor[s] == n for s in machine)

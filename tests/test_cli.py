@@ -225,7 +225,6 @@ class TestPlan:
     @pytest.mark.parametrize("flag, value, name", [
         ("--budget", "1/0", "budget"),
         ("--budget", "abc", "budget"),
-        ("--budget", "1e5000", "budget"),
         ("--unit-cost", "1/0", "unit cost"),
         ("--unit-cost", "abc", "unit cost"),
     ])
@@ -233,6 +232,16 @@ class TestPlan:
         argv = ["plan", doc_path, "--budget", "1", flag, value]
         assert main(argv) == 1
         assert f"{name} is not an exact rational" in capsys.readouterr().err
+
+    # an exact value whose exponent is too large to expand: the refusal
+    # names its size, not its form
+    @pytest.mark.parametrize("flag, name", [("--budget", "budget"),
+                                            ("--unit-cost", "unit cost")])
+    def test_huge_exponent_refused(self, doc_path, capsys, flag, name):
+        assert main(["plan", doc_path, "--budget", "1", flag, "1e5000"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name} has a decimal exponent above 4300 in magnitude, "
+            "too large to expand exactly\n")
 
 
 class TestVerify:

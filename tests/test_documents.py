@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pipelines
+from conftest import count_calls, pipelines
 from pipecalc import (
     AuthoritySpec,
     DocumentError,
@@ -165,9 +165,11 @@ class TestParse:
     def test_huge_exponent_capacity_rejected(self, text):
         raw = json.loads(EXAMPLE_DOC)
         raw["pipeline"]["stages"][0]["capacity"] = text
-        with pytest.raises(DocumentError,
-                           match="capacity of stage 'a' is not an exact rational"):
+        with pytest.raises(DocumentError) as info:
             parse_document(json.dumps(raw))
+        assert str(info.value) == (
+            "capacity of stage 'a' has a decimal exponent above 4300 in "
+            "magnitude, too large to expand exactly")
 
     def test_overlong_json_integer_rejected(self):
         text = EXAMPLE_DOC.replace('"capacity": "3"', '"capacity": ' + "7" * 5000)
@@ -185,6 +187,69 @@ class TestParse:
         raw["pipeline"]["stages"][0]["capacity"] = 3.25
         with pytest.raises(DocumentError, match="exact"):
             parse_document(json.dumps(raw))
+
+
+def _three_stage_doc(**parts) -> str:
+    return json.dumps({"format_version": "1", "pipeline": {"stages": [
+        {"id": s, "capacity": "3"} for s in "abc"]}, **parts})
+
+
+class TestRepeatedValueTexts:
+    # a factor or bound text is converted once per document; capacities and
+    # values that are not text are converted each time
+
+    def test_factor_text_converted_once(self, monkeypatch):
+        texts = ["2", "3/2", "5"]
+        stages = [f"s{i}" for i in range(10)]
+        doc = json.dumps({
+            "format_version": "1",
+            "pipeline": {"stages": [{"id": s, "capacity": "7"} for s in stages]},
+            "scenarios": {
+                f"n{j}": {s: texts[(i + j) % 3] for i, s in enumerate(stages)}
+                for j in range(4)
+            },
+        })
+        counts = count_calls(monkeypatch, ["as_fraction"])
+        parsed = parse_document(doc)
+        assert counts["as_fraction"] == len(stages) + len(texts)
+        assert parsed.scenarios["n1"].factor["s0"] == Fraction(3, 2)
+
+    def test_bound_text_converted_once(self, monkeypatch):
+        doc = _three_stage_doc(authority={
+            "human_stages": ["a", "b"], "assist_bounds": {"a": "2", "b": "2"}})
+        counts = count_calls(monkeypatch, ["as_fraction"])
+        parsed = parse_document(doc)
+        # three capacities, one bound text, and AuthoritySpec's own two
+        assert counts["as_fraction"] == 3 + 1 + 2
+        assert parsed.authority.assist_bound == {"a": 2, "b": 2}
+
+    @pytest.mark.parametrize("factors, message", [
+        ({"b": "1", "c": True},
+         "factor of stage 'c' in 'x' must be exact text or an integer, got True"),
+        ({"b": 1, "c": True},
+         "factor of stage 'c' in 'x' must be exact text or an integer, got True"),
+        ({"b": 1, "c": 1.0},
+         "factor of stage 'c' in 'x' must be exact text or an integer, got 1.0"),
+        ({"c": "abc", "b": "abc"},
+         "factor of stage 'c' in 'x' is not an exact rational: "
+         "Invalid literal for Fraction: 'abc'"),
+        ({"c": "1/0", "b": "1/0"},
+         "factor of stage 'c' in 'x' is not an exact rational: Fraction(1, 0)"),
+    ], ids=["text-then-bool", "int-then-bool", "int-then-float", "bad-text-twice",
+            "zero-denominator-twice"])
+    def test_refusals_unchanged(self, factors, message):
+        with pytest.raises(DocumentError) as info:
+            parse_document(_three_stage_doc(scenarios={"x": factors}))
+        assert str(info.value) == message
+
+    def test_bad_bound_text_names_first_stage(self):
+        doc = _three_stage_doc(authority={
+            "human_stages": ["c", "a"], "assist_bounds": {"c": "abc", "a": "abc"}})
+        with pytest.raises(DocumentError) as info:
+            parse_document(doc)
+        assert str(info.value) == (
+            "assist bound of stage 'c' is not an exact rational: "
+            "Invalid literal for Fraction: 'abc'")
 
 
 class TestRoundTrip:

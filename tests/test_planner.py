@@ -20,6 +20,7 @@ from pipecalc import (
 )
 from pipecalc.planner import CostModelError
 from test_acceptance import grid_oracle
+from test_model import _Tagged
 
 
 class TestTrivialAllocation:
@@ -94,6 +95,35 @@ class TestMaxminAllocation:
     def test_domain_mismatch(self, example_pipeline):
         with pytest.raises(CostModelError):
             maxmin_allocation(example_pipeline, CostModel({"a": 1}, 1))
+
+
+class TestUnitCostConversion:
+    # a plain Fraction is kept as given; every other unit cost still goes
+    # through as_fraction and the sign check, with the same messages
+
+    @pytest.mark.parametrize("value, error, message", [
+        (_Tagged(-1, 2), CostModelError,
+         "unit costs must be > 0; offending: ['b']"),
+        ("-1/2", CostModelError, "unit costs must be > 0; offending: ['b']"),
+        ("abc", ValueError, "Invalid literal for Fraction: 'abc'"),
+        (0.5, TypeError, 'floats are not accepted; pass an int, Fraction, or '
+         'exact text such as "3.25" or "13/4"'),
+        (True, TypeError, "booleans are not capacities"),
+    ], ids=["fraction-subclass", "text", "bad-text", "float", "bool"])
+    def test_unit_cost_refused(self, value, error, message):
+        with pytest.raises(error) as info:
+            CostModel({"a": Fraction(1), "b": value}, 1)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("value", [_Tagged(3, 2), "3/2", "1.5"])
+    def test_unit_cost_converted(self, value):
+        cost = CostModel({"a": Fraction(1), "b": value}, 1).unit_cost["b"]
+        assert type(cost) is Fraction and cost == Fraction(3, 2)
+
+    def test_fraction_kept_without_conversion(self, monkeypatch):
+        counts = count_calls(monkeypatch, ["as_fraction"])
+        CostModel(dict.fromkeys("abc", Fraction(2)), Fraction(1))
+        assert counts["as_fraction"] == 1  # the budget
 
 
 @given(
