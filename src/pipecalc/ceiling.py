@@ -58,7 +58,8 @@ class AuthoritySpec:
         stages = frozenset(human_stages)
         bounds = None
         if assist_bound is not None:
-            bounds = {s: as_fraction(b) for s, b in assist_bound.items()}
+            bounds = {s: b if type(b) is Fraction else as_fraction(b)
+                      for s, b in assist_bound.items()}
             if set(bounds) != stages:
                 raise ConfigurationError(
                     "assist bounds must cover exactly the pinned stages"

@@ -7,7 +7,8 @@ Subcommands:
   compare   attacker/defender ratio report for a document pair
   fp        plateau and decline checks for a configured scalar model
   plan      budgeted allocation (trivial and max-min)
-  verify    randomized verification harness over seeded instances
+  verify    randomized verification harness over seeded instances, or
+            one instance replayed with --replay SEED:INDEX
 
 Exit status: 0 success, 1 validation or usage error, 2 internal
 verification counterexample.  Structured output renders every rational as
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from .ceiling import (
     generalized_ceiling,
     tightness_witness,
 )
-from .characterize import _analyse
+from .characterize import _analyse, verify_characterizations
 from .documents import DocumentError, _exact, _json, _text, load_document
 from .falsepos import (
     ConstantPrecision,
@@ -42,16 +44,20 @@ from .falsepos import (
     plateau_check,
     simple_useful,
 )
-from .model import bottleneck_report, perturbed_throughput
+from .model import _quoted, bottleneck_report, perturbed_throughput
 from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_allocation
 
 
 def _factors(mult) -> dict[str, str]:
-    items = sorted(mult.factor.items())
+    factor = mult.factor
+    stages = sorted(factor)
+    # text each distinct object once: ONE and a witness's N are one object each
+    distinct = {id(f): f for f in factor.values()}
     try:
-        return {s: str(f) for s, f in items}
+        texts = {i: str(f) for i, f in distinct.items()}
     except ValueError:  # the int-string digit limit: _text names the stage
-        return {s: _text(f, "factor of stage {}", s) for s, f in items}
+        return {s: _text(factor[s], "factor of stage {}", s) for s in stages}
+    return {s: texts[id(factor[s])] for s in stages}
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -329,6 +335,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.replay is not None:
+        return _replay(args)
     cfg = harness.GeneratorConfig(
         seed=args.seed, instance_count=args.count, max_stages=args.max_stages
     )
@@ -338,6 +346,50 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(harness.text_report(verdict))
     return 0 if verdict.passed else 2
+
+
+def _replay_target(text: str) -> tuple[int, int]:
+    """SEED:INDEX of one verify instance, as a counterexample names it."""
+    try:
+        if re.fullmatch(r"-?[0-9]+:[0-9]+", text):
+            seed, index = text.split(":")
+            return int(seed), int(index)
+    except ValueError:  # more digits than CPython converts to an int
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{_quoted(text)} is not SEED:INDEX (two integers, INDEX >= 0)")
+
+
+def _replay(args) -> int:
+    """Instance SEED:INDEX re-run through every check family, with the
+    values `verify_characterizations` reads (none if that check raises)."""
+    seed, index = args.replay
+    cfg = harness.GeneratorConfig(seed=seed, max_stages=args.max_stages)
+    results = harness.verify_instance(cfg, index)
+    try:
+        detail = verify_characterizations(*harness.generate_instance(cfg, index)).detail
+    except Exception:  # verify_instance has already recorded it as a failure
+        detail = {}
+    # rationals as exact text; the bottleneck lists are stage ids already
+    detail = {key: {s: str(x) for s, x in value.items()} if isinstance(value, dict)
+              else value if isinstance(value, list) else str(value)
+              for key, value in detail.items()}
+    passed = not any(results.values())
+    lines = [f"replay of seed={seed} index={index} (max stages {args.max_stages})"]
+    for name, failures in results.items():
+        lines.append(f"  {name}: {'FAIL' if failures else 'pass'}")
+        lines.extend(f"    {message}" for message in failures)
+    lines.append("characterization detail:" if detail else
+                 "characterization detail: none")
+    for key, value in detail.items():
+        if isinstance(value, dict):
+            value = ", ".join(f"{s}={x}" for s, x in value.items())
+        elif isinstance(value, list):
+            value = ", ".join(value)
+        lines.append(f"  {key}: {value}")
+    _emit(args, {"seed": seed, "index": index, "max_stages": args.max_stages,
+                 "passed": passed, "checks": results, "detail": detail}, lines)
+    return 0 if passed else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,6 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=10_000)
     sp.add_argument("--max-stages", type=int, default=8)
+    sp.add_argument("--replay", type=_replay_target, default=None,
+                    metavar="SEED:INDEX",
+                    help="re-run one instance, showing each check and the "
+                         "values behind it (--count is not used)")
 
     return parser
 

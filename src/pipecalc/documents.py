@@ -32,11 +32,10 @@ from .model import (
     ONE,
     Multiplier,
     Pipeline,
-    ValidationReport,
+    PipelineValidationError,
     _quoted,
     _TooLong,
     as_fraction,
-    validate_pipeline,
 )
 
 FORMAT_VERSION = "1"
@@ -151,12 +150,10 @@ def parse_document(text: str) -> PipelineDocument:
         stages.append(sid)
         capacity[sid] = _exact(rec["capacity"], "capacity of stage {}", sid)
 
-    result = validate_pipeline(stages, capacity)
-    if isinstance(result, ValidationReport):
-        raise DocumentError(
-            "invalid pipeline: " + "; ".join(result.violations)
-        )
-    pipeline = result
+    try:
+        pipeline = Pipeline(stages, capacity)
+    except PipelineValidationError as exc:
+        raise DocumentError(f"invalid pipeline: {exc}") from None
     cap = pipeline.capacity
     memo: dict = {}  # factor and bound texts converted so far
 

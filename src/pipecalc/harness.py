@@ -153,6 +153,7 @@ class HarnessVerdict:
     count: int
     checks: dict  # check name -> number of instances it ran on
     counterexamples: tuple[Counterexample, ...]
+    max_stages: int = GeneratorConfig.max_stages
 
     @property
     def passed(self) -> bool:
@@ -294,6 +295,7 @@ def verify_all(cfg: GeneratorConfig) -> HarnessVerdict:
         count=cfg.instance_count,
         checks=checks,
         counterexamples=tuple(counterexamples),
+        max_stages=cfg.max_stages,
     )
 
 
@@ -328,8 +330,12 @@ def text_report(verdict: HarnessVerdict) -> str:
         lines.append("all checks passed")
     else:
         lines.append(f"{len(verdict.counterexamples)} counterexample(s):")
+        stages = ("" if verdict.max_stages == GeneratorConfig.max_stages
+                  else f" --max-stages {verdict.max_stages}")
         for ce in verdict.counterexamples[:20]:
             lines.append(
                 f"  [{ce.check}] seed={ce.seed} index={ce.index}: {ce.message}"
             )
+            lines.append(
+                f"    replay: pipecalc verify --replay={ce.seed}:{ce.index}{stages}")
     return "\n".join(lines) + "\n"

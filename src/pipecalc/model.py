@@ -10,9 +10,11 @@ All quantities are exact rationals (`fractions.Fraction`).  Floats are
 rejected at the boundary: the equality and tie structure the analysis relies
 on would not survive binary rounding.  Minima and ties are decided by
 integer cross-multiplication of numerators and denominators (`_argmin`),
-which is exact and builds no intermediate Fraction; every result returned
-is still a Fraction; `ceiling` and `tightness_witness` take their minima
-the same way.  The constructors' sign checks (capacity > 0, factor
+which is exact and builds no intermediate Fraction; every result returned is
+still a Fraction; `ceiling` and `tightness_witness` take their minima the
+same way.  `Pipeline`, `Multiplier` and `planner.CostModel` accept first:
+one cheap test passes valid input, and their value-by-value checks run only
+to word a refusal.  The constructors' sign checks (capacity > 0, factor
 >= 1, and their relatives in `ceiling` and `planner`) read the sign off the
 normalised numerator and denominator, and `characterize` decides whether
 throughput changed, and preservation's separation test, on unreduced integer
@@ -208,9 +210,13 @@ class Pipeline:
         stage_tuple = tuple(stages)
         cap = {s: c if type(c) is Fraction else as_fraction(c)
                for s, c in capacity.items()}
-        violations = _check_description(stage_tuple, cap)
-        if violations:
-            raise PipelineValidationError(ValidationReport(tuple(violations)))
+        # accept first: _check_description runs only to word a refusal
+        if not (set(map(type, stage_tuple)) == {str} and "" not in (ids := set(stage_tuple))
+                and len(ids) == len(stage_tuple) and cap.keys() == ids
+                and not [c for c in cap.values() if c.numerator <= 0]):
+            violations = _check_description(stage_tuple, cap)
+            if violations:
+                raise PipelineValidationError(ValidationReport(tuple(violations)))
         object.__setattr__(self, "stages", stage_tuple)
         object.__setattr__(self, "capacity", MappingProxyType(cap))
 
@@ -237,14 +243,17 @@ class Multiplier:
     factor: Mapping[str, Fraction]
 
     def __init__(self, factor: Mapping[str, RationalInput]):
-        f = {s: v if type(v) is Fraction else as_fraction(v)
-             for s, v in factor.items()}
-        bad = [s for s, v in f.items() if v is not ONE and v.numerator < v.denominator]
-        if bad:
-            raise AdmissibilityError(
-                f"factors below 1 are inadmissible: {_quoted(sorted(bad))}"
-            )
-        object.__setattr__(self, "factor", MappingProxyType(f))
+        # accept first: convert and check only if some value is not a Fraction >= 1
+        if [s for s, v in factor.items() if v is not ONE and (
+                type(v) is not Fraction or v.numerator < v.denominator)]:
+            factor = {s: v if type(v) is Fraction else as_fraction(v)
+                      for s, v in factor.items()}
+            bad = [s for s, v in factor.items() if v is not ONE and v.numerator < v.denominator]
+            if bad:
+                raise AdmissibilityError(
+                    f"factors below 1 are inadmissible: {_quoted(sorted(bad))}"
+                )
+        object.__setattr__(self, "factor", MappingProxyType(dict(factor)))
 
     @classmethod
     def identity(cls, p: Pipeline) -> "Multiplier":

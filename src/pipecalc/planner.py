@@ -6,7 +6,8 @@ how much to improve each stage.  Two allocators:
   * `trivial_allocation`: the textbook answer for a unique bottleneck —
     spend everything on it, capped where the next stage would take over as
     the minimum.  Refuses tied bottlenecks, since raising all but one of a
-    tie changes nothing.
+    tie changes nothing.  One list of integer (stage, n, d) triples gives
+    the bottleneck and then, with it deleted, the runner-up.
   * `maxmin_allocation`: exact max-min water filling.  For a target
     throughput t, the cheapest multiplier is factor(v) = max(1, t / c(v));
     its cost is continuous, increasing, and linear between consecutive
@@ -49,7 +50,6 @@ from .model import (
     _quoted,
     _shown,
     as_fraction,
-    bottleneck_report,
 )
 
 
@@ -71,17 +71,18 @@ class CostModel:
 
     def __init__(self, unit_cost: Mapping[str, RationalInput],
                  budget: RationalInput):
-        costs = {s: c if type(c) is Fraction else as_fraction(c)
-                 for s, c in unit_cost.items()}
-        # denominators are positive, so the numerator carries the sign
-        bad = sorted(s for s, c in costs.items() if c.numerator <= 0)
-        if bad:
-            raise CostModelError(
-                f"unit costs must be > 0; offending: {_quoted(bad)}")
+        # accept first; denominators are positive, so numerators carry the sign
+        if [s for s, c in unit_cost.items() if type(c) is not Fraction or c.numerator <= 0]:
+            unit_cost = {s: c if type(c) is Fraction else as_fraction(c)
+                         for s, c in unit_cost.items()}
+            bad = sorted(s for s, c in unit_cost.items() if c.numerator <= 0)
+            if bad:
+                raise CostModelError(
+                    f"unit costs must be > 0; offending: {_quoted(bad)}")
         b = as_fraction(budget)
         if b.numerator < 0:
             raise CostModelError(f"budget {_shown(b)} must be >= 0")
-        object.__setattr__(self, "unit_cost", MappingProxyType(costs))
+        object.__setattr__(self, "unit_cost", MappingProxyType(dict(unit_cost)))
         object.__setattr__(self, "budget", b)
 
     @classmethod
@@ -112,21 +113,20 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     is left unspent; spending beyond migration is the max-min allocator's
     job."""
     _check_domain(p, c)
-    rep = bottleneck_report(p)
-    if len(rep.bottlenecks) != 1:
+    cap = p.capacity
+    triples = [(s, (x := cap[s]).numerator, x.denominator) for s in p.stages]
+    bottlenecks = _argmin(triples)[2]
+    if len(bottlenecks) != 1:
         raise TiedBottleneckError(
-            f"bottlenecks {sorted(rep.bottlenecks)} are tied; improving all "
+            f"bottlenecks {sorted(bottlenecks)} are tied; improving all "
             "but one of them changes nothing — use maxmin_allocation"
         )
-    cap = p.capacity
-    b = rep.bottlenecks[0]
+    b = bottlenecks[0]
     uncapped = 1 + c.budget / c.unit_cost[b]
-    if rep.non_bottlenecks:
-        runner_up = _argmin([(s, (x := cap[s]).numerator, x.denominator)
-                             for s in rep.non_bottlenecks])[2][0]
-        factor_b = min(uncapped, cap[runner_up] / cap[b])
-    else:
-        factor_b = uncapped
+    del triples[p.stages.index(b)]  # the runner-up is the least of the rest
+    factor_b = uncapped
+    if triples:
+        factor_b = min(uncapped, cap[_argmin(triples)[2][0]] / cap[b])
     spent = c.unit_cost[b] * (factor_b - 1)
     factors = dict.fromkeys(p.stages, ONE)
     factors[b] = factor_b

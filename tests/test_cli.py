@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import pipecalc.harness as harness
 from pipecalc.adversarial import InternalCheckError
 from pipecalc.characterize import CharacterizationVerdict
-from pipecalc.cli import build_parser, main
+from pipecalc.cli import _factors, build_parser, main
 from pipecalc.documents import DocumentError, parse_document, serialize_document
 from test_documents import EXAMPLE_DOC
 
@@ -288,6 +289,113 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "counterexample" in out
         assert "index=0" in out
+
+
+class TestReplay:
+    @staticmethod
+    def _identity_witness(monkeypatch):
+        # a planted defect: the witness raises no stage, so it misses the
+        # ceiling whenever a machine stage is the overall bottleneck
+        monkeypatch.setattr(harness, "tightness_witness",
+                            lambda p, h: harness.Multiplier.identity(p))
+
+    @pytest.mark.parametrize("flags, suffix", [
+        ([], ""), (["--max-stages", "5"], " --max-stages 5")])
+    def test_printed_command_reproduces_the_failure(self, capsys, monkeypatch,
+                                                    flags, suffix):
+        self._identity_witness(monkeypatch)
+        assert main(["verify", "--seed", "11", "--count", "30", *flags]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("  ["))
+        check, _, message = lines[first].partition("] ")[2].partition(": ")
+        index = lines[first].split("index=")[1].partition(":")[0]
+        command = lines[first + 1]
+        assert command == f"    replay: pipecalc verify --replay=11:{index}{suffix}"
+        ceiling_failures = [line.partition(": ")[2] for line in lines
+                            if line.startswith(f"  [ceiling] seed=11 index={index}:")]
+
+        assert main(command.split()[2:]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == (f"replay of seed=11 index={index} "
+                          f"(max stages {5 if suffix else 8})")
+        at = out.index("  ceiling: FAIL")
+        assert out[at + 1:at + 1 + len(ceiling_failures)] == [
+            f"    {m}" for m in ceiling_failures]
+        assert f"    {message}" in out
+        assert "  characterizations: pass" in out
+
+    def test_passing_instance_shows_its_values(self, capsys):
+        assert main(["verify", "--replay", "5:3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:7] == [f"  {name}: pass" for name in (
+            "characterizations", "monotonicity", "ceiling", "adversarial",
+            "falsepos")] + ["characterization detail:"]
+        p, a = harness.generate_instance(harness.GeneratorConfig(seed=5), 3)
+        assert out[-1] == "  capacities: " + ", ".join(
+            f"{s}={c}" for s, c in p.capacity.items())
+        assert out[-2] == "  factors: " + ", ".join(
+            f"{s}={f}" for s, f in a.factor.items())
+
+    def test_structured_replay(self, capsys):
+        assert main(["verify", "--replay", "5:3", "--max-stages", "3",
+                     "--format", "structured"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        p, _ = harness.generate_instance(
+            harness.GeneratorConfig(seed=5, max_stages=3), 3)
+        assert (payload["seed"], payload["index"], payload["max_stages"]) == (5, 3, 3)
+        assert payload["passed"] is True
+        assert payload["checks"] == dict.fromkeys(
+            ("adversarial", "ceiling", "characterizations", "falsepos",
+             "monotonicity"), [])
+        assert payload["detail"]["capacities"] == {
+            s: str(c) for s, c in p.capacity.items()}
+
+    def test_raising_family_has_no_detail(self, capsys, monkeypatch):
+        def raising(p, a):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(harness, "verify_characterizations", raising)
+        monkeypatch.setattr("pipecalc.cli.verify_characterizations", raising)
+        # a negative seed needs the --replay=SEED:INDEX spelling the report prints
+        assert main(["verify", "--replay=-4:0"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:3] == ["  characterizations: FAIL",
+                            "    RuntimeError: planted"]
+        assert out[-1] == "characterization detail: none"
+
+    @pytest.mark.parametrize("target", [
+        "5", "5:", ":3", "a:1", "1:-1", "1:2:3", "1.0:2", " 1:2", "١:2", ""])
+    def test_malformed_target_exits_1(self, capsys, target):
+        assert main(["verify", f"--replay={target}"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("pipecalc verify: error: argument --replay: "
+                       f"{target!r} is not SEED:INDEX (two integers, INDEX >= 0)\n")
+
+    def test_overlong_target_is_quoted_cut(self, capsys):
+        target = "1" * 5000 + ":1"
+        assert main(["verify", f"--replay={target}"]) == 1
+        assert capsys.readouterr().err == (
+            "pipecalc verify: error: argument --replay: "
+            f"'{'1' * 59}... (a str, cut) is not SEED:INDEX "
+            "(two integers, INDEX >= 0)\n")
+
+
+def test_factor_text_built_once_per_object():
+    # ONE and a witness's shared N reach _factors as one object per value
+    calls = []
+
+    class Counted:
+        def __init__(self, text):
+            self.text = text
+
+        def __str__(self):
+            calls.append(self.text)
+            return self.text
+
+    one, two = Counted("1"), Counted("2")
+    mult = SimpleNamespace(factor={"c": one, "a": two, "b": one})
+    assert _factors(mult) == {"a": "2", "b": "1", "c": "1"}
+    assert sorted(calls) == ["1", "2"]
 
 
 class TestUsageErrors:

@@ -219,8 +219,9 @@ class TestRepeatedValueTexts:
             "human_stages": ["a", "b"], "assist_bounds": {"a": "2", "b": "2"}})
         counts = count_calls(monkeypatch, ["as_fraction"])
         parsed = parse_document(doc)
-        # three capacities, one bound text, and AuthoritySpec's own two
-        assert counts["as_fraction"] == 3 + 1 + 2
+        # three capacities and one bound text; AuthoritySpec keeps the
+        # Fractions it is given
+        assert counts["as_fraction"] == 3 + 1
         assert parsed.authority.assist_bound == {"a": 2, "b": 2}
 
     @pytest.mark.parametrize("factors, message", [

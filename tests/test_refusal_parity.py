@@ -1,0 +1,252 @@
+"""Refusal parity for the value-object constructors.
+
+`Pipeline`, `Multiplier` and `CostModel` accept valid input with one cheap
+test and run their converting, refusal-wording code only when that test
+fails; `AuthoritySpec` keeps a bound that is exactly a `Fraction` and
+converts anything else.  Each row below gives an input together with the
+exception type and message it is refused with, or the exact values built
+from it, so that an accept test missing any one of its conditions lets some
+row through that must be refused, or keeps a value unconverted.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from pipecalc.ceiling import AuthoritySpec, ConfigurationError
+from pipecalc.model import (
+    ONE,
+    AdmissibilityError,
+    Multiplier,
+    Pipeline,
+    PipelineValidationError,
+)
+from pipecalc.planner import CostModel, CostModelError
+
+
+class _Tagged(Fraction):
+    """A Fraction subclass: converted to a plain Fraction like any input."""
+
+
+class _Name(str):
+    """A str subclass: still nonempty text, so a valid stage id."""
+
+
+FLOAT = ('floats are not accepted; pass an int, Fraction, or exact text such '
+         'as "3.25" or "13/4"')
+BOOL = "booleans are not capacities"
+IDS = [f"s{i:03}" for i in range(999)]
+
+
+def _ones_with(**extra):
+    factors = dict.fromkeys(IDS, ONE)
+    factors.update(extra)
+    return factors
+
+
+def _row(name, build, error, message):
+    return pytest.param(build, error, message, id=name)
+
+
+PIPELINE_REFUSALS = [
+    _row("empty", lambda: Pipeline((), {}), PipelineValidationError,
+         "assumption 1 violated: stage set is empty"),
+    _row("empty-with-capacity", lambda: Pipeline((), {"a": 1}),
+         PipelineValidationError,
+         "assumption 1 violated: stage set is empty; "
+         "capacity given for unknown stage 'a'"),
+    _row("non-text-id", lambda: Pipeline((1,), {1: 1}), PipelineValidationError,
+         "stage id 1 is not nonempty text"),
+    _row("empty-id", lambda: Pipeline(("",), {"": 1}), PipelineValidationError,
+         "stage id '' is not nonempty text"),
+    _row("duplicate-id", lambda: Pipeline(("a", "a"), {"a": 1}),
+         PipelineValidationError, "duplicate stage id 'a': stage ids form a set"),
+    _row("missing-capacity", lambda: Pipeline(("a", "b"), {"a": 1}),
+         PipelineValidationError, "stage 'b' has no capacity"),
+    _row("unknown-capacity", lambda: Pipeline(("a",), {"a": 1, "z": 2}),
+         PipelineValidationError, "capacity given for unknown stage 'z'"),
+    _row("capacity-zero", lambda: Pipeline(("a", "b"), {"a": 0, "b": 2}),
+         PipelineValidationError,
+         "assumption 2 violated: capacity of stage 'a' is 0 (must be > 0)"),
+    _row("capacity-negative",
+         lambda: Pipeline(("a", "b"), {"a": 2, "b": Fraction(-1, 3)}),
+         PipelineValidationError,
+         "assumption 2 violated: capacity of stage 'b' is -1/3 (must be > 0)"),
+    _row("negative-among-999",
+         lambda: Pipeline(IDS, {**dict.fromkeys(IDS, ONE), "s500": Fraction(-1)}),
+         PipelineValidationError,
+         "assumption 2 violated: capacity of stage 's500' is -1 (must be > 0)"),
+    _row("float", lambda: Pipeline(("a",), {"a": 1.5}), TypeError, FLOAT),
+    _row("bool", lambda: Pipeline(("a",), {"a": True}), TypeError, BOOL),
+    _row("fraction-subclass-negative",
+         lambda: Pipeline(("a",), {"a": _Tagged(-1, 2)}), PipelineValidationError,
+         "assumption 2 violated: capacity of stage 'a' is -1/2 (must be > 0)"),
+    _row("bad-text", lambda: Pipeline(("a",), {"a": "abc"}), ValueError,
+         "Invalid literal for Fraction: 'abc'"),
+    _row("unhashable-id", lambda: Pipeline(([1],), {"a": 1}), TypeError,
+         "unhashable type: 'list'"),
+    # two or more checks broken at once: every violation, in check order
+    _row("duplicate-unknown-negative",
+         lambda: Pipeline(("a", "a"), {"a": -1, "ghost": 2}),
+         PipelineValidationError,
+         "duplicate stage id 'a': stage ids form a set; capacity given for "
+         "unknown stage 'ghost'; assumption 2 violated: capacity of stage 'a' "
+         "is -1 (must be > 0)"),
+    _row("non-text-and-missing", lambda: Pipeline((1, "b"), {"b": 1}),
+         PipelineValidationError,
+         "stage id 1 is not nonempty text; stage 1 has no capacity"),
+    _row("empty-id-and-zero", lambda: Pipeline(("", "b"), {"": 1, "b": 0}),
+         PipelineValidationError,
+         "stage id '' is not nonempty text; assumption 2 violated: capacity "
+         "of stage 'b' is 0 (must be > 0)"),
+    # conversion comes first, so a float is refused before a missing capacity
+    _row("missing-and-float", lambda: Pipeline(("a", "b"), {"a": 1.0}),
+         TypeError, FLOAT),
+]
+
+MULTIPLIER_REFUSALS = [
+    _row("half-among-999-ones",
+         lambda: Multiplier(_ones_with(s500=Fraction(1, 2))), AdmissibilityError,
+         "factors below 1 are inadmissible: ['s500']"),
+    _row("int-zero", lambda: Multiplier({"a": ONE, "b": 0}), AdmissibilityError,
+         "factors below 1 are inadmissible: ['b']"),
+    _row("half-text", lambda: Multiplier({"a": "1/2", "b": "2"}),
+         AdmissibilityError, "factors below 1 are inadmissible: ['a']"),
+    _row("float", lambda: Multiplier({"a": ONE, "b": 1.5}), TypeError, FLOAT),
+    _row("bool", lambda: Multiplier({"a": ONE, "b": True}), TypeError, BOOL),
+    _row("fraction-subclass-below-one",
+         lambda: Multiplier({"a": ONE, "b": _Tagged(1, 2)}), AdmissibilityError,
+         "factors below 1 are inadmissible: ['b']"),
+    _row("bad-text", lambda: Multiplier({"a": "abc"}), ValueError,
+         "Invalid literal for Fraction: 'abc'"),
+    _row("two-below-one",
+         lambda: Multiplier({"b": Fraction(1, 3), "a": Fraction(0)}),
+         AdmissibilityError, "factors below 1 are inadmissible: ['a', 'b']"),
+    _row("below-one-and-float",
+         lambda: Multiplier({"a": Fraction(1, 2), "b": 2.0}), TypeError, FLOAT),
+    _row("below-one-and-bad-text",
+         lambda: Multiplier({"a": Fraction(1, 2), "b": "x"}), ValueError,
+         "Invalid literal for Fraction: 'x'"),
+    _row("pairs-not-a-mapping", lambda: Multiplier([("a", ONE)]), AttributeError,
+         "'list' object has no attribute 'items'"),
+]
+
+COST_MODEL_REFUSALS = [
+    _row("cost-zero", lambda: CostModel({"a": 0, "b": 1}, 1), CostModelError,
+         "unit costs must be > 0; offending: ['a']"),
+    _row("cost-negative",
+         lambda: CostModel({"a": Fraction(1), "b": Fraction(-2)}, 1),
+         CostModelError, "unit costs must be > 0; offending: ['b']"),
+    _row("zero-among-999", lambda: CostModel(_ones_with(s500=Fraction(0)), 1),
+         CostModelError, "unit costs must be > 0; offending: ['s500']"),
+    _row("cost-float", lambda: CostModel({"a": 1.5}, 1), TypeError, FLOAT),
+    _row("cost-bool", lambda: CostModel({"a": True}, 1), TypeError, BOOL),
+    _row("cost-fraction-subclass-negative",
+         lambda: CostModel({"a": _Tagged(-1, 2)}, 1), CostModelError,
+         "unit costs must be > 0; offending: ['a']"),
+    _row("cost-bad-text", lambda: CostModel({"a": "abc"}, 1), ValueError,
+         "Invalid literal for Fraction: 'abc'"),
+    _row("budget-negative", lambda: CostModel({"a": 1}, -1), CostModelError,
+         "budget -1 must be >= 0"),
+    _row("budget-negative-fraction-costs",
+         lambda: CostModel({"a": Fraction(1)}, Fraction(-1, 2)), CostModelError,
+         "budget -1/2 must be >= 0"),
+    _row("budget-float", lambda: CostModel({"a": 1}, 0.5), TypeError, FLOAT),
+    _row("cost-zero-and-budget-negative", lambda: CostModel({"a": 0}, -1),
+         CostModelError, "unit costs must be > 0; offending: ['a']"),
+    _row("cost-float-and-cost-zero", lambda: CostModel({"a": 0, "b": 1.5}, 1),
+         TypeError, FLOAT),
+    _row("pairs-not-a-mapping", lambda: CostModel([("a", Fraction(1))], 1),
+         AttributeError, "'list' object has no attribute 'items'"),
+]
+
+BOUND_REFUSALS = [
+    _row("float", lambda: AuthoritySpec({"a"}, {"a": 1.5}), TypeError, FLOAT),
+    _row("bool", lambda: AuthoritySpec({"a"}, {"a": True}), TypeError, BOOL),
+    _row("bad-text", lambda: AuthoritySpec({"a"}, {"a": "abc"}), ValueError,
+         "Invalid literal for Fraction: 'abc'"),
+    _row("fraction-subclass-below-one",
+         lambda: AuthoritySpec({"a"}, {"a": _Tagged(1, 2)}), ConfigurationError,
+         "assist bounds below 1: ['a']"),
+]
+
+
+def _named(prefix, rows):
+    return [pytest.param(*row.values, id=f"{prefix}-{row.id}") for row in rows]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    _named("pipeline", PIPELINE_REFUSALS) + _named("multiplier", MULTIPLIER_REFUSALS)
+    + _named("cost-model", COST_MODEL_REFUSALS) + _named("bound", BOUND_REFUSALS))
+def test_refusal(build, error, message):
+    with pytest.raises(Exception) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _exact(mapping) -> list:
+    """A mapping's items with each value's exact type, in mapping order."""
+    return [(k, type(v), v) for k, v in mapping.items()]
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("build, stages, values", [
+    pytest.param(lambda: Pipeline(("a", "b"), {"a": "13/4", "b": 2}),
+                 ("a", "b"), [("a", F, F(13, 4)), ("b", F, F(2))],
+                 id="text-and-int"),
+    pytest.param(lambda: Pipeline(("a",), {"a": _Tagged(3, 2)}),
+                 ("a",), [("a", F, F(3, 2))], id="fraction-subclass"),
+    pytest.param(lambda: Pipeline((_Name("a"),), {"a": 1}),
+                 ("a",), [("a", F, F(1))], id="str-subclass-id"),
+    pytest.param(lambda: Pipeline(("a", "b"), {"b": 2, "a": 1}),
+                 ("a", "b"), [("b", F, F(2)), ("a", F, F(1))],
+                 id="capacity-order-differs"),
+])
+def test_pipeline_accepts(build, stages, values):
+    p = build()
+    assert p.stages == stages and type(p.stages) is tuple
+    assert _exact(p.capacity) == values
+
+
+@pytest.mark.parametrize("factors_or_bounds, values", [
+    pytest.param(lambda: Multiplier({}).factor, [], id="multiplier-empty"),
+    pytest.param(lambda: Multiplier({"a": 1, "b": 2, "c": "3/2"}).factor,
+                 [("a", F, F(1)), ("b", F, F(2)), ("c", F, F(3, 2))],
+                 id="multiplier-ints-and-text"),
+    pytest.param(lambda: Multiplier({"a": _Tagged(3, 2)}).factor,
+                 [("a", F, F(3, 2))],
+                 id="multiplier-fraction-subclass"),
+    pytest.param(lambda: Multiplier({"a": ONE, "b": F(5, 4), "c": F(1)}).factor,
+                 [("a", F, F(1)), ("b", F, F(5, 4)), ("c", F, F(1))],
+                 id="multiplier-one-and-fractions"),
+    pytest.param(lambda: AuthoritySpec({"a"}, {"a": _Tagged(3, 2)}).assist_bound,
+                 [("a", F, F(3, 2))], id="bound-fraction-subclass"),
+    pytest.param(lambda: AuthoritySpec({"a"}, {"a": "5/2"}).assist_bound,
+                 [("a", F, F(5, 2))], id="bound-text"),
+    pytest.param(lambda: AuthoritySpec({"a"}, {"a": 2}).assist_bound,
+                 [("a", F, F(2))], id="bound-int"),
+])
+def test_values_accepted_and_converted(factors_or_bounds, values):
+    assert _exact(factors_or_bounds()) == values
+
+
+@pytest.mark.parametrize("build, costs, budget", [
+    pytest.param(lambda: CostModel({}, 0), [], F(0), id="empty"),
+    pytest.param(lambda: CostModel({"a": 1, "b": "3/2"}, "7"),
+                 [("a", F, F(1)), ("b", F, F(3, 2))], F(7), id="ints-and-text"),
+    pytest.param(lambda: CostModel({"a": _Tagged(3, 2)}, _Tagged(1, 2)),
+                 [("a", F, F(3, 2))], F(1, 2), id="fraction-subclass"),
+])
+def test_cost_model_accepts(build, costs, budget):
+    c = build()
+    assert _exact(c.unit_cost) == costs
+    assert type(c.budget) is Fraction and c.budget == budget
+
+
+def test_fraction_bound_kept_as_given():
+    bound = Fraction(5, 2)
+    assert AuthoritySpec({"a"}, {"a": bound}).assist_bound["a"] is bound
