@@ -9,8 +9,9 @@ integer pairs with `model._argmin`, as `throughput` does, and the witness's
 factor is an integer floor division.
 
 The assist-bound variant (each pinned stage allowed a factor up to a given
-bound) yields the analogous bound min over H of bound * capacity; it is
-reported as an upper bound only, with no tightness construction.
+bound) gives the ceiling min over H of bound * capacity, attained by the
+same construction with each pinned stage at its bound; the CLI still labels
+it "(bound only)".
 """
 
 from __future__ import annotations
@@ -118,11 +119,11 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
 
 
 def generalized_ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:
-    """Bound under assist limits: min over pinned stages of bound * capacity.
+    """Ceiling under assist limits: min over pinned stages of bound * capacity.
 
-    This is an upper bound only; no witness construction is provided, so
-    reports should label it "bound only".  With all bounds equal to 1 it
-    coincides with `ceiling`.
+    It is attained: pin each stage at its bound and raise the others by N,
+    as `tightness_witness` does.  With all bounds equal to 1 it coincides
+    with `ceiling`.
     """
     _require_nonempty(p, h)
     if h.assist_bound is None:

@@ -348,6 +348,14 @@ def _cmd_verify(args) -> int:
     return 0 if verdict.passed else 2
 
 
+def _int(text: str) -> int:
+    """argparse's `type=int`, with an over-long value quoted cut."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+
+
 def _replay_target(text: str) -> tuple[int, int]:
     """SEED:INDEX of one verify instance, as a counterexample names it."""
     try:
@@ -442,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--unit-cost", default="1")
 
     sp = add("verify", _cmd_verify, "randomized verification harness")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=10_000)
-    sp.add_argument("--max-stages", type=int, default=8)
+    sp.add_argument("--seed", type=_int, default=0)
+    sp.add_argument("--count", type=_int, default=10_000)
+    sp.add_argument("--max-stages", type=_int, default=8)
     sp.add_argument("--replay", type=_replay_target, default=None,
                     metavar="SEED:INDEX",
                     help="re-run one instance, showing each check and the "

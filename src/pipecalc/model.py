@@ -54,15 +54,16 @@ _QUOTE_LIMIT = 60
 # default factor is this one value and none is built per stage
 ONE = Fraction(1)
 
+# a refusal's stand-in for a value too long for CPython's int-to-text limit
+_UNSHOWN = f"<a value of more than {MAX_EXPONENT} digits>"
+
 
 def _shown(value) -> str:
-    """`value` as text for a refusal message, or a fixed stand-in when it is
-    too long for CPython's int-to-text limit, so the refusal itself never
-    fails."""
+    """`value` as text for a refusal message, or _UNSHOWN."""
     try:
         return str(value)
     except ValueError:  # the int-string digit limit
-        return f"<a value of more than {MAX_EXPONENT} digits>"
+        return _UNSHOWN
 
 
 class _TooLong(ValueError):
@@ -89,8 +90,12 @@ def _printable(x: Fraction) -> Fraction:
 def _quoted(value) -> str:
     """repr of a raw value for a refusal message, cut after _QUOTE_LIMIT
     characters so that a malformed value of any size or depth is not
-    echoed back whole; a shorter repr is quoted as is."""
-    text = repr(value)
+    echoed back whole; a shorter repr is quoted as is, and one that would
+    pass the int-to-text limit is _UNSHOWN."""
+    try:
+        text = repr(value)
+    except ValueError:  # the int-string digit limit
+        return _UNSHOWN
     if len(text) <= _QUOTE_LIMIT:
         return text
     return f"{text[:_QUOTE_LIMIT]}... (a {type(value).__name__}, cut)"
@@ -227,13 +232,12 @@ class Pipeline:
 def validate_pipeline(
     stages: Iterable[str], capacity: Mapping[str, RationalInput]
 ) -> Pipeline | ValidationReport:
-    """Build a Pipeline, or return a report listing every violated check."""
+    """Build a Pipeline, or return a report listing every violated check;
+    a capacity that cannot be converted raises as from `Pipeline`."""
     try:
         return Pipeline(stages, capacity)
     except PipelineValidationError as exc:
         return exc.report
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        return ValidationReport((f"capacity not an exact rational: {exc}",))
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,16 @@ class TestVerify:
         assert ("[adversarial] seed=5 index=1: "
                 "InternalCheckError: sides disagree") in out
 
+    @pytest.mark.parametrize("flag", ["--seed", "--count", "--max-stages"])
+    @pytest.mark.parametrize("value, quoted", [
+        ("1.5", "'1.5'"), ("1" * 5000, f"'{'1' * 59}... (a str, cut)")],
+        ids=["short", "5000-digits"])
+    def test_invalid_int_is_quoted_cut(self, capsys, flag, value, quoted):
+        # argparse's own wording, with an over-long value cut
+        assert main(["verify", flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"pipecalc verify: error: argument {flag}: invalid int value: {quoted}\n")
+
     def test_counterexample_exits_2(self, capsys, monkeypatch):
         def corrupted(p, a):
             return CharacterizationVerdict(

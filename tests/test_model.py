@@ -25,7 +25,7 @@ from pipecalc import (
 from pipecalc.ceiling import ConfigurationError
 from pipecalc.characterize import scan_min
 from pipecalc.planner import CostModelError
-from pipecalc.model import ONE, _TooLong, as_fraction, check_admissible
+from pipecalc.model import _TooLong, as_fraction, check_admissible
 
 
 # text that as_fraction reads with int() alone, and its neighbours that go
@@ -279,39 +279,6 @@ class TestPerturb:
             Multiplier({"a": Fraction(1, 2)})
 
 
-class _Tagged(Fraction):
-    """A Fraction subclass: the constructors convert it like any input."""
-
-
-class TestConstructorFastPaths:
-    # a plain Fraction is kept as given and a factor that is ONE is not
-    # sign-checked; everything else is still converted and checked
-
-    def test_factor_below_one_among_identity_defaults(self):
-        factors = dict.fromkeys((f"s{i:03}" for i in range(999)), ONE)
-        factors["half"] = Fraction(1, 2)
-        with pytest.raises(AdmissibilityError) as info:
-            Multiplier(factors)
-        assert str(info.value) == "factors below 1 are inadmissible: ['half']"
-
-    @pytest.mark.parametrize("value", [0.5, 1.0, 2.0, True, False])
-    def test_float_or_bool_factor_refused(self, value):
-        with pytest.raises(TypeError):
-            Multiplier({"a": ONE, "b": value})
-
-    def test_fraction_subclass_factor_checked(self):
-        with pytest.raises(AdmissibilityError, match=r"\['b'\]"):
-            Multiplier({"a": ONE, "b": _Tagged(1, 2)})
-        factor = Multiplier({"a": ONE, "b": _Tagged(3, 2)}).factor["b"]
-        assert type(factor) is Fraction and factor == Fraction(3, 2)
-
-    def test_fraction_subclass_capacity_checked(self):
-        with pytest.raises(PipelineValidationError, match="assumption 2"):
-            Pipeline(("a",), {"a": _Tagged(-1, 2)})
-        cap = Pipeline(("a",), {"a": _Tagged(3, 2)}).capacity["a"]
-        assert type(cap) is Fraction and cap == Fraction(3, 2)
-
-
 class TestPerturbedThroughput:
     def test_bottleneck_doubled(self, example_pipeline):
         a = Multiplier({"a": 1, "b": 2, "c": 1})
@@ -358,14 +325,6 @@ class TestValidatePipeline:
         rep = validate_pipeline(("a", "a"), {"a": -1, "ghost": 2})
         assert isinstance(rep, ValidationReport)
         assert len(rep.violations) >= 3
-
-    def test_constructor_raises(self):
-        with pytest.raises(PipelineValidationError):
-            Pipeline(("a",), {"a": -3})
-
-    def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            Pipeline(("a",), {"a": 0.1})
 
 
 @pytest.mark.parametrize("mapping", [

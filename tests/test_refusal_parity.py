@@ -1,4 +1,4 @@
-"""Refusal parity for the value-object constructors.
+"""Refusal parity for the value-object constructors, in one table.
 
 `Pipeline`, `Multiplier` and `CostModel` accept valid input with one cheap
 test and run their converting, refusal-wording code only when that test
@@ -20,6 +20,8 @@ from pipecalc.model import (
     Multiplier,
     Pipeline,
     PipelineValidationError,
+    _TooLong,
+    validate_pipeline,
 )
 from pipecalc.planner import CostModel, CostModelError
 
@@ -35,6 +37,8 @@ class _Name(str):
 FLOAT = ('floats are not accepted; pass an int, Fraction, or exact text such '
          'as "3.25" or "13/4"')
 BOOL = "booleans are not capacities"
+HUGE = 10**5000  # its repr passes CPython's int-to-text limit
+UNSHOWN = "<a value of more than 4300 digits>"
 IDS = [f"s{i:03}" for i in range(999)]
 
 
@@ -102,6 +106,17 @@ PIPELINE_REFUSALS = [
     # conversion comes first, so a float is refused before a missing capacity
     _row("missing-and-float", lambda: Pipeline(("a", "b"), {"a": 1.0}),
          TypeError, FLOAT),
+    _row("unprintable-id", lambda: Pipeline((HUGE,), {HUGE: 1}),
+         PipelineValidationError, f"stage id {UNSHOWN} is not nonempty text"),
+    # validate_pipeline reports violations, but raises conversion refusals
+    _row("validated-float", lambda: validate_pipeline(("a",), {"a": 0.1}),
+         TypeError, FLOAT),
+    _row("validated-zero-denominator",
+         lambda: validate_pipeline(("a",), {"a": "1/0"}), ZeroDivisionError,
+         "Fraction(1, 0)"),
+    _row("validated-too-long", lambda: validate_pipeline(("a",), {"a": "1e4300"}),
+         _TooLong, "value has more than 4300 digits in its numerator or "
+         "denominator, too many to print exactly"),
 ]
 
 MULTIPLIER_REFUSALS = [
@@ -113,7 +128,10 @@ MULTIPLIER_REFUSALS = [
     _row("half-text", lambda: Multiplier({"a": "1/2", "b": "2"}),
          AdmissibilityError, "factors below 1 are inadmissible: ['a']"),
     _row("float", lambda: Multiplier({"a": ONE, "b": 1.5}), TypeError, FLOAT),
+    _row("float-one", lambda: Multiplier({"a": ONE, "b": 1.0}), TypeError, FLOAT),
     _row("bool", lambda: Multiplier({"a": ONE, "b": True}), TypeError, BOOL),
+    _row("bool-false", lambda: Multiplier({"a": ONE, "b": False}), TypeError,
+         BOOL),
     _row("fraction-subclass-below-one",
          lambda: Multiplier({"a": ONE, "b": _Tagged(1, 2)}), AdmissibilityError,
          "factors below 1 are inadmissible: ['b']"),
@@ -129,6 +147,8 @@ MULTIPLIER_REFUSALS = [
          "Invalid literal for Fraction: 'x'"),
     _row("pairs-not-a-mapping", lambda: Multiplier([("a", ONE)]), AttributeError,
          "'list' object has no attribute 'items'"),
+    _row("unprintable-id", lambda: Multiplier({HUGE: Fraction(1, 2)}),
+         AdmissibilityError, f"factors below 1 are inadmissible: {UNSHOWN}"),
 ]
 
 COST_MODEL_REFUSALS = [
@@ -146,6 +166,8 @@ COST_MODEL_REFUSALS = [
          "unit costs must be > 0; offending: ['a']"),
     _row("cost-bad-text", lambda: CostModel({"a": "abc"}, 1), ValueError,
          "Invalid literal for Fraction: 'abc'"),
+    _row("cost-negative-text", lambda: CostModel({"a": ONE, "b": "-1/2"}, 1),
+         CostModelError, "unit costs must be > 0; offending: ['b']"),
     _row("budget-negative", lambda: CostModel({"a": 1}, -1), CostModelError,
          "budget -1 must be >= 0"),
     _row("budget-negative-fraction-costs",
@@ -168,6 +190,12 @@ BOUND_REFUSALS = [
     _row("fraction-subclass-below-one",
          lambda: AuthoritySpec({"a"}, {"a": _Tagged(1, 2)}), ConfigurationError,
          "assist bounds below 1: ['a']"),
+    _row("below-one", lambda: AuthoritySpec({"a"}, {"a": Fraction(1, 2)}),
+         ConfigurationError, "assist bounds below 1: ['a']"),
+    _row("domain-mismatch", lambda: AuthoritySpec({"a", "c"}, {"a": 2}),
+         ConfigurationError, "assist bounds must cover exactly the pinned stages"),
+    _row("unprintable-id", lambda: AuthoritySpec({HUGE}, {HUGE: Fraction(1, 2)}),
+         ConfigurationError, f"assist bounds below 1: {UNSHOWN}"),
 ]
 
 
@@ -238,6 +266,8 @@ def test_values_accepted_and_converted(factors_or_bounds, values):
     pytest.param(lambda: CostModel({}, 0), [], F(0), id="empty"),
     pytest.param(lambda: CostModel({"a": 1, "b": "3/2"}, "7"),
                  [("a", F, F(1)), ("b", F, F(3, 2))], F(7), id="ints-and-text"),
+    pytest.param(lambda: CostModel({"a": "1.5"}, 0), [("a", F, F(3, 2))], F(0),
+                 id="decimal-text"),
     pytest.param(lambda: CostModel({"a": _Tagged(3, 2)}, _Tagged(1, 2)),
                  [("a", F, F(3, 2))], F(1, 2), id="fraction-subclass"),
 ])
