@@ -9,13 +9,13 @@ they disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
     AdmissibilityError,
     Multiplier,
     Pipeline,
+    Record,
     bottleneck_set,
     check_admissible,
     perturbed_throughput,
@@ -27,8 +27,7 @@ class InternalCheckError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(Record):
     """Baseline and perturbed attacker/defender ratios plus per-side
     relative gains.  All four quantities are exact and strictly positive."""
 

@@ -16,17 +16,19 @@ it "(bound only)".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional
 
 from .model import (
     ONE,
     Multiplier,
     Pipeline,
     RationalInput,
+    Record,
+    _argmin,
     _capacity_argmin,
+    _products,
     _quoted,
     as_fraction,
 )
@@ -40,8 +42,7 @@ class ConfigurationError(ValueError):
     """An authority spec lacks data required by the requested operation."""
 
 
-@dataclass(frozen=True)
-class AuthoritySpec:
+class AuthoritySpec(Record):
     """A set of pinned stages, optionally with per-stage assist bounds.
 
     When `assist_bound` is present its domain must equal `human_stages` and
@@ -49,12 +50,12 @@ class AuthoritySpec:
     """
 
     human_stages: frozenset[str]
-    assist_bound: Optional[Mapping[str, Fraction]] = None
+    assist_bound: Mapping[str, Fraction] | None = None
 
     def __init__(
         self,
         human_stages,
-        assist_bound: Optional[Mapping[str, RationalInput]] = None,
+        assist_bound: Mapping[str, RationalInput] | None = None,
     ):
         stages = frozenset(human_stages)
         bounds = None
@@ -119,7 +120,8 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
 
 
 def generalized_ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:
-    """Ceiling under assist limits: min over pinned stages of bound * capacity.
+    """Ceiling under assist limits: min over pinned stages of bound * capacity,
+    taken with `_argmin` on the unreduced integer `_products`.
 
     It is attained: pin each stage at its bound and raise the others by N,
     as `tightness_witness` does.  With all bounds equal to 1 it coincides
@@ -128,4 +130,5 @@ def generalized_ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:
     _require_nonempty(p, h)
     if h.assist_bound is None:
         raise ConfigurationError("generalized ceiling requires assist bounds")
-    return min(h.assist_bound[s] * p.capacity[s] for s in h.human_stages)
+    n, d, _ = _argmin(_products(p, h.assist_bound, h.human_stages))
+    return Fraction(n, d)

@@ -21,13 +21,12 @@ intermediate values attached.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .model import (
     Multiplier,
     Pipeline,
+    Record,
     _argmin,
     _capacity_argmin,
     _products,
@@ -40,8 +39,7 @@ class Outcome(enum.Enum):
     STRICT_INCREASE = "strict_increase"
 
 
-@dataclass(frozen=True)
-class PerturbationClassification:
+class PerturbationClassification(Record):
     """Outcome of a perturbation together with the predicates that explain it.
 
     `unchanged_predicate` is "some original bottleneck has factor exactly 1";
@@ -54,13 +52,12 @@ class PerturbationClassification:
     outcome: Outcome
     unchanged_predicate: bool
     strict_predicate: bool
-    witness: Optional[str]
+    witness: str | None
     base_throughput: Fraction
     new_throughput: Fraction
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(Record):
     """Whether the bottleneck set survives perturbation, and why.
 
     condition_i: all original bottlenecks share one factor.
@@ -72,11 +69,10 @@ class PreservationReport:
     preserved: bool
     condition_i: bool
     condition_ii: bool
-    common_factor: Optional[Fraction]
+    common_factor: Fraction | None
 
 
-@dataclass(frozen=True)
-class MigrationDecomposition:
+class MigrationDecomposition(Record):
     """Stages that left or joined the bottleneck set, in stage order."""
 
     departed: tuple[str, ...]
@@ -96,7 +92,7 @@ def _analyse(
     decided on integer pairs."""
     check_admissible(p, a)
     base_n, base_d, bottlenecks = _capacity_argmin(p)
-    products = _products(p, a, p.stages)
+    products = _products(p, a.factor, p.stages)
     new_n, new_d, new_bottlenecks = _argmin(products)
     before, after = frozenset(bottlenecks), frozenset(new_bottlenecks)
     fac = a.factor
@@ -151,8 +147,7 @@ def migration_decomposition(p: Pipeline, a: Multiplier) -> MigrationDecompositio
     return _analyse(p, a)[2]
 
 
-@dataclass(frozen=True)
-class CharacterizationVerdict:
+class CharacterizationVerdict(Record):
     """Result of cross-checking every equivalence on one (pipeline,
     multiplier) instance.  A failure means the implementation disagrees with
     a brute-force recomputation; it is an internal bug, never a refutation

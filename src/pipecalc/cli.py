@@ -267,7 +267,7 @@ def _cmd_fp(args) -> int:
         family = pc.get("family")
         if not isinstance(family, str) or family not in _PRECISION_FAMILIES:
             raise DocumentError(
-                f"unknown precision family {family!r}; "
+                f"unknown precision family {_quoted(family)}; "
                 f"have {sorted(_PRECISION_FAMILIES)}"
             )
         p = _PRECISION_FAMILIES[family](pc)

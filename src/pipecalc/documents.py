@@ -23,9 +23,8 @@ document round-trips losslessly.  Schema (format_version "1"):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Optional
 
 from .ceiling import AuthoritySpec, ConfigurationError
 from .model import (
@@ -33,6 +32,7 @@ from .model import (
     Multiplier,
     Pipeline,
     PipelineValidationError,
+    Record,
     _quoted,
     _TooLong,
     as_fraction,
@@ -45,21 +45,19 @@ class DocumentError(ValueError):
     """A document fails to parse or violates the schema."""
 
 
-@dataclass(frozen=True)
-class PipelineDocument:
+class PipelineDocument(Record):
     name: str
     pipeline: Pipeline
-    authority: Optional[AuthoritySpec]
+    authority: AuthoritySpec | None
     scenarios: Mapping[str, Multiplier]
 
-    def scenario(self, name: Optional[str]) -> Multiplier:
+    def scenario(self, name: str | None) -> Multiplier:
         """Named scenario, or the identity when name is None."""
         if name is None:
             return Multiplier.identity(self.pipeline)
         if name not in self.scenarios:
-            raise DocumentError(
-                f"no scenario named {name!r}; have {sorted(self.scenarios)}"
-            )
+            raise DocumentError(f"no scenario named {_quoted(name)}; "
+                                f"have {_quoted(sorted(self.scenarios))}")
         return self.scenarios[name]
 
 

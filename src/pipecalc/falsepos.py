@@ -22,11 +22,9 @@ integer numerator/denominator pairs (`_cmp`), building no Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .model import RationalInput, _shown, as_fraction
+from .model import RationalInput, Record, _shown, as_fraction
 
 
 class DomainError(ValueError):
@@ -37,8 +35,7 @@ class ModelValidationError(ValueError):
     """A model's parameters violate its invariants."""
 
 
-@dataclass(frozen=True)
-class FixedFractionModel:
+class FixedFractionModel(Record):
     """Constant false-positive fraction in [0, 1) and a positive
     investigation capacity."""
 
@@ -79,8 +76,7 @@ def _simple_useful(lam: Fraction, m: FixedFractionModel) -> Fraction:
                     f.denominator * x.denominator)
 
 
-@dataclass(frozen=True)
-class PlateauVerdict:
+class PlateauVerdict(Record):
     passed: bool
     common_value: Fraction
     samples_checked: int
@@ -106,8 +102,7 @@ def plateau_check(m: FixedFractionModel, lambdas) -> PlateauVerdict:
 # --- precision-function families -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantPrecision:
+class ConstantPrecision(Record):
     """p(rate) = level for all rates; level in [0, 1]."""
 
     level: Fraction
@@ -122,8 +117,7 @@ class ConstantPrecision:
         return self.level
 
 
-@dataclass(frozen=True)
-class RationalDecayPrecision:
+class RationalDecayPrecision(Record):
     """p(rate) = 1 / (1 + k * rate) with k > 0; exact and strictly
     decreasing everywhere on the positive axis."""
 
@@ -141,8 +135,7 @@ class RationalDecayPrecision:
         return Fraction(t, t + k.numerator * lam.numerator)
 
 
-@dataclass(frozen=True)
-class TablePrecision:
+class TablePrecision(Record):
     """Empirical precision curve: sorted (rate, precision) breakpoints with
     exact linear interpolation between them.  Queries outside the breakpoint
     span are a domain error."""
@@ -188,7 +181,7 @@ class TablePrecision:
                    for (_, p1), (_, p2) in zip(relevant, relevant[1:]))
 
 
-PrecisionFunction = Union[ConstantPrecision, RationalDecayPrecision, TablePrecision]
+PrecisionFunction = ConstantPrecision | RationalDecayPrecision | TablePrecision
 
 
 def _check_domain(lam: Fraction, c_inv: Fraction) -> None:
@@ -218,8 +211,7 @@ def _repaired_useful(lam: Fraction, p: PrecisionFunction, c_inv: Fraction):
     return Fraction(v.numerator * x.numerator, v.denominator * x.denominator)
 
 
-@dataclass(frozen=True)
-class DeclineVerdict:
+class DeclineVerdict(Record):
     passed: bool
     mode: str  # "strict_decline" or "constant"
     values: tuple[Fraction, ...]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversarial import defender_misses_bottleneck, ratio_report
@@ -37,7 +36,7 @@ from .falsepos import (
     decline_check,
     plateau_check,
 )
-from .model import ONE, Multiplier, Pipeline, perturbed_throughput
+from .model import ONE, Multiplier, Pipeline, Record, perturbed_throughput
 
 CAPACITY_GRID = tuple(Fraction(i) for i in range(1, 11))
 # factor 1 listed twice: ties kept at factor 1 are the interesting case
@@ -52,8 +51,7 @@ FACTOR_GRID = (
 _DECAY = RationalDecayPrecision(Fraction(1, 10))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     seed: int = 0
     instance_count: int = 10_000
     max_stages: int = 8
@@ -139,16 +137,14 @@ def generate_fp_model(
     return model, samples
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     check: str
     seed: int
     index: int
     message: str
 
 
-@dataclass(frozen=True)
-class HarnessVerdict:
+class HarnessVerdict(Record):
     seed: int
     count: int
     checks: dict  # check name -> number of instances it ran on

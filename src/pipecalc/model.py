@@ -30,12 +30,11 @@ stage set) are reported alongside by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
 
-RationalInput = Union[Fraction, int, str]
+RationalInput = Fraction | int | str
 
 # CPython's default int-string digit limit.  Fraction expands a decimal
 # exponent into a power of ten before anything can check it, so text such
@@ -155,8 +154,72 @@ def as_fraction(value: RationalInput) -> Fraction:
     return _printable(x) if isinstance(value, str) and len(value) > MAX_EXPONENT else x
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+# bound once: a generic record __init__ calls it for every value built
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of pipecalc's immutable values; it compiles no code per class.
+    The fields are the names annotated in a subclass's own body, in order,
+    with class attributes of those names as defaults; equality and hash are
+    those of the field tuple.  A validating constructor defines its own
+    `__init__` and sets each field with `object.__setattr__`."""
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
+        cls._names = names = frozenset(cls._fields)
+        if "__init__" in vars(cls):  # a validating constructor
+            return
+        # the generic __init__, its names and __post_init__ found once, not per call
+        post_init = vars(cls).get("__post_init__")
+
+        def __init__(self, *args, **kwargs):
+            # the usual call names every field once by keyword: no binding
+            if args or kwargs.keys() != names:
+                kwargs = self._bind(args, kwargs)
+            _setattr(self, "__dict__", kwargs)
+            if post_init is not None:
+                post_init(self)
+        cls.__init__ = __init__
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict:
+        """The fields of a call by position or with defaults, or TypeError."""
+        cls, fields = type(self), self._fields
+        given = dict(zip(fields, args))
+        values = {f: vars(cls)[f] for f in fields if f in vars(cls)} | given | kwargs
+        if len(args) > len(fields) or given.keys() & kwargs or values.keys() != self._names:
+            raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(fields)}; got "
+                            f"{len(args)} by position and {', '.join(kwargs) or 'none'} by name")
+        return values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; every constructor takes a dict
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v
+                                 for v in self._values())
+
+
+class ValidationReport(Record):
     """Outcome of validating a raw pipeline description.
 
     `violations` lists every failed check, not just the first, so an input
@@ -194,8 +257,7 @@ def _check_description(
     return violations
 
 
-@dataclass(frozen=True)
-class Pipeline:
+class Pipeline(Record):
     """Ordered stages with exact positive capacities.
 
     The stage order models the serial structure and is preserved through
@@ -240,8 +302,7 @@ def validate_pipeline(
         return exc.report
 
 
-@dataclass(frozen=True)
-class Multiplier:
+class Multiplier(Record):
     """Per-stage improvement factors, each >= 1.  Factor 1 means unimproved."""
 
     factor: Mapping[str, Fraction]
@@ -287,8 +348,7 @@ def check_admissible(p: Pipeline, a: Multiplier) -> None:
     raise AdmissibilityError("; ".join(parts))
 
 
-@dataclass(frozen=True)
-class BottleneckReport:
+class BottleneckReport(Record):
     """Throughput plus the partition of stages into bottlenecks and the rest.
 
     Bottlenecks are listed in stage-sequence order for deterministic output;
@@ -330,11 +390,11 @@ def _capacity_argmin(p: Pipeline,
                     for s in (p.stages if stages is None else stages)])
 
 
-def _products(p: Pipeline, a: Multiplier,
+def _products(p: Pipeline, fac: Mapping[str, Fraction],
               stages: Iterable[str]) -> list[tuple[str, int, int]]:
-    """(stage, n, d) with n/d = factor * capacity, as the unreduced integer
-    pair of products, for each of `stages` in the order given."""
-    cap, fac = p.capacity, a.factor
+    """(stage, n, d) with n/d = fac[stage] * capacity, as the unreduced
+    integer pair of products, for each of `stages` in the order given."""
+    cap = p.capacity
     return [
         (s, (c := cap[s]).numerator * (f := fac[s]).numerator,
          c.denominator * f.denominator)
@@ -376,5 +436,5 @@ def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:
     min over stages of factor * capacity, without building the perturbed
     pipeline."""
     check_admissible(p, a)
-    n, d, _ = _argmin(_products(p, a, p.stages))
+    n, d, _ = _argmin(_products(p, a.factor, p.stages))
     return Fraction(n, d)

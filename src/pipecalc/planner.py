@@ -36,16 +36,16 @@ closed form for each segment relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
 
 from .model import (
     ONE,
     Multiplier,
     Pipeline,
     RationalInput,
+    Record,
     _argmin,
     _quoted,
     _shown,
@@ -61,8 +61,7 @@ class CostModelError(ValueError):
     """A cost model violates its invariants or does not match the pipeline."""
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record):
     """Positive per-stage unit costs (per unit of factor above 1) and a
     nonnegative total budget."""
 
@@ -91,8 +90,7 @@ class CostModel:
         return cls(dict.fromkeys(p.stages, as_fraction(unit_cost)), budget)
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(Record):
     """`achieved_throughput` is the level the allocator built; see the module
     docstring."""
 

@@ -186,3 +186,18 @@ def test_integer_minima_match_fraction_reference(ph):
     if machine:
         n = math.ceil(cap / min(p.capacity[s] for s in machine)) + 1
         assert all(w.factor[s] == n for s in machine)
+
+
+@given(pinned_pipelines(), st.data())
+def test_generalized_minimum_matches_fraction_reference(ph, data):
+    # each bound is 1 + n/d with 30-digit n and d that differ by at most one
+    # between stages, so the products bound * capacity are near-tied too;
+    # the reference is min over Fraction products
+    p, human = ph
+    n, d = data.draw(DIGITS_30), data.draw(DIGITS_30)
+    nudge = st.integers(min_value=-1, max_value=1)
+    bounds = {s: 1 + Fraction(n + data.draw(nudge), d + data.draw(nudge))
+              for s in human}
+    g = generalized_ceiling(p, AuthoritySpec(human, bounds))
+    assert type(g) is Fraction
+    assert g == min(bounds[s] * p.capacity[s] for s in human)

@@ -144,6 +144,14 @@ class TestFp:
             f"error: unknown precision family {family!r}; "
             "have ['constant', 'rational_decay', 'table']\n")
 
+    def test_long_unknown_family_is_cut(self, tmp_path, capsys):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps({"precision": {"family": "f" * 100_000}}))
+        assert main(["fp", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown precision family '{'f' * 59}... (a str, cut); "
+            "have ['constant', 'rational_decay', 'table']\n")
+
     @pytest.mark.parametrize("model, name", [
         ({"fixed_fraction": {"false_positive_fraction": "1/2",
                              "investigation_capacity": "10"},

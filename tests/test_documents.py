@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ from pipecalc import (
     DocumentError,
     Multiplier,
     Pipeline,
+    PipelineDocument,
     document_for_pipeline,
     parse_document,
     serialize_document,
@@ -57,6 +57,17 @@ class TestParse:
         doc = parse_document(EXAMPLE_DOC)
         with pytest.raises(DocumentError, match="no scenario"):
             doc.scenario("missing")
+
+    def test_unknown_scenario_names_are_cut(self):
+        raw = json.loads(EXAMPLE_DOC)
+        raw["scenarios"].update({f"s{i}": {} for i in range(1000)})
+        doc = parse_document(json.dumps(raw))
+        with pytest.raises(DocumentError) as info:
+            doc.scenario("x" * 100_000)
+        assert str(info.value) == (
+            f"no scenario named '{'x' * 59}... (a str, cut); "
+            "have ['boost', 's0', 's1', 's10', 's100', 's101', 's102', 's103',... "
+            "(a list, cut)")
 
     def test_exact_decimal_and_fraction_text(self):
         doc = parse_document(json.dumps({
@@ -269,14 +280,15 @@ class TestRoundTrip:
     # a value built in code may pass the print limit, though text spelling
     # it is refused on input (test_overlong_text_is_refused_on_input)
     @pytest.mark.parametrize("mutate, quantity", [
-        (lambda doc: replace(doc, pipeline=Pipeline(
-            doc.pipeline.stages, {**doc.pipeline.capacity, "a": UNPRINTABLE})),
+        (lambda doc: PipelineDocument(doc.name, Pipeline(
+            doc.pipeline.stages, {**doc.pipeline.capacity, "a": UNPRINTABLE}),
+            doc.authority, doc.scenarios),
          "capacity of stage 'a'"),
-        (lambda doc: replace(doc, scenarios={"boost": Multiplier(
-            {**doc.scenarios["boost"].factor, "b": UNPRINTABLE})}),
+        (lambda doc: PipelineDocument(doc.name, doc.pipeline, doc.authority, {
+            "boost": Multiplier({**doc.scenarios["boost"].factor, "b": UNPRINTABLE})}),
          "factor of stage 'b' in 'boost'"),
-        (lambda doc: replace(doc, authority=AuthoritySpec(
-            doc.authority.human_stages, {"a": UNPRINTABLE})),
+        (lambda doc: PipelineDocument(doc.name, doc.pipeline, AuthoritySpec(
+            doc.authority.human_stages, {"a": UNPRINTABLE}), doc.scenarios),
          "assist bound of stage 'a'"),
     ], ids=["capacity", "factor", "assist-bound"])
     def test_overlong_value_is_a_named_error(self, mutate, quantity):
