@@ -2,11 +2,11 @@
 
 Every generated object is a pure function of (seed, index): the generator
 is CPython's Mersenne Twister (`random.Random`) seeded with the text
-"{seed}:{index}" (plus a label for auxiliary draws), which the `random`
-module documents as a stable, platform-independent seeding rule.  Replaying
-a (seed, index) pair therefore reproduces an instance exactly, and
-independent instances could be generated by parallel workers with no shared
-state.
+"{seed}:{index}:{label}", with an empty label for the instance itself and a
+name for each auxiliary draw: a seeding rule that `random` documents as
+stable and platform-independent.  Replaying a (seed, index) pair therefore
+reproduces an instance exactly, and independent instances could be
+generated by parallel workers with no shared state.
 
 `verify_all` drives every equivalence and bound check in the library across
 the generated instances and tallies results per check.  A counterexample —

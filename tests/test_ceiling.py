@@ -105,27 +105,6 @@ class TestGeneralizedCeiling:
 
 
 @given(pipeline_with_multiplier(), st.data())
-def test_bound_and_tightness(pm, data):
-    p, a = pm
-    k = data.draw(st.integers(min_value=1, max_value=len(p.stages)))
-    human = frozenset(list(p.stages)[:k])
-    h = AuthoritySpec(human)
-    pinned = Multiplier(
-        {s: Fraction(1) if s in human else f for s, f in a.factor.items()}
-    )
-    cap = ceiling(p, h)
-    assert is_h_admissible(pinned, h)
-    assert perturbed_throughput(p, pinned) <= cap
-
-    w = tightness_witness(p, h)
-    assert is_h_admissible(w, h)
-    assert perturbed_throughput(p, w) == cap
-    machine = [s for s in p.stages if s not in human]
-    for s in machine:
-        assert w.factor[s] * p.capacity[s] > cap
-
-
-@given(pipeline_with_multiplier(), st.data())
 def test_assist_bound_dominates(pm, data):
     p, a = pm
     k = data.draw(st.integers(min_value=1, max_value=len(p.stages)))

@@ -34,6 +34,15 @@ class TestGenerateInstance:
         for i in range(10):
             assert generate_instance(cfg, i) == generate_instance(cfg, i)
 
+    def test_documented_seed_text_replays(self):
+        # "5:3:" draws 8 stages; "5:3", without the empty label, draws 4
+        rng = random.Random("5:3:")
+        n = rng.randint(1, 8)
+        draws = [rng.choice(grid) for grid in (CAPACITY_GRID, FACTOR_GRID)
+                 for _ in range(n)]
+        p, a = generate_instance(GeneratorConfig(seed=5), 3)
+        assert draws == [*p.capacity.values(), *a.factor.values()]
+
     def test_different_indices_differ(self):
         cfg = GeneratorConfig(seed=123, instance_count=10)
         instances = {generate_instance(cfg, i) for i in range(10)}

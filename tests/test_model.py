@@ -366,17 +366,6 @@ def test_normal_form(pm):
     assert perturbed_throughput(p, a) == throughput(perturb(p, a))
 
 
-@given(pipeline_with_multiplier(), st.lists(st.sampled_from(
-    [Fraction(1), Fraction(3, 2), Fraction(2)]), min_size=6, max_size=6))
-def test_monotonicity(pm, extras):
-    p, a = pm
-    b = Multiplier(
-        {s: f * extras[i % len(extras)]
-         for i, (s, f) in enumerate(sorted(a.factor.items()))}
-    )
-    assert perturbed_throughput(p, a) <= perturbed_throughput(p, b)
-
-
 @given(pipeline_with_multiplier())
 def test_non_decrease(pm):
     p, a = pm
