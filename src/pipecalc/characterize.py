@@ -12,7 +12,8 @@ both sides:
 
 `classify`, `preservation_report` and `migration_decomposition` are
 projections of one pass over the (pipeline, multiplier) pair, `_analyse`,
-which `cli perturb` and `verify_characterizations` read whole.
+which `cli perturb` and `verify_characterizations` read whole; `--explain`
+prints the per-stage products that pass builds.
 `verify_characterizations` recomputes both sides of each equivalence from
 first principles and reports any disagreement as an internal defect with all
 intermediate values attached.
@@ -83,12 +84,12 @@ class MigrationDecomposition(Record):
         return not self.departed and not self.entered
 
 
-def _analyse(
-    p: Pipeline, a: Multiplier
-) -> tuple[PerturbationClassification, PreservationReport, MigrationDecomposition]:
+def _analyse(p: Pipeline, a: Multiplier) -> tuple[
+        PerturbationClassification, PreservationReport, MigrationDecomposition, list]:
     """The three reports on one perturbation, from a single pass: one
     admissibility check, one capacity minimum, and one list of perturbed
-    products with its minimum.  Minima, ties and the unchanged test are
+    products with its minimum; that list, of unreduced (stage, n, d) in
+    stage order, comes fourth.  Minima, ties and the unchanged test are
     decided on integer pairs."""
     check_admissible(p, a)
     base_n, base_d, bottlenecks = _capacity_argmin(p)
@@ -132,7 +133,7 @@ def _analyse(
         departed=tuple(s for s in bottlenecks if s not in after),
         entered=tuple(s for s in new_bottlenecks if s not in before),
     )
-    return classification, preservation, migration
+    return classification, preservation, migration, products
 
 
 def classify(p: Pipeline, a: Multiplier) -> PerturbationClassification:
@@ -171,7 +172,7 @@ def scan_min(values) -> Fraction:
 
 
 def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerdict:
-    cls, rep, decomp = _analyse(p, a)  # refuses an inadmissible multiplier
+    cls, rep, decomp, _ = _analyse(p, a)  # refuses an inadmissible multiplier
     base = scan_min([p.capacity[s] for s in p.stages])
     # each stage's perturbed capacity, a Fraction product built once
     product = {s: a.factor[s] * p.capacity[s] for s in p.stages}

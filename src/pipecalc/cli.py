@@ -4,6 +4,7 @@ Subcommands:
   analyze   throughput and bottleneck report for a pipeline document
   perturb   classification, preservation, and migration for a scenario
   ceiling   authority ceiling, tightness witness, and assist-bound variant
+            (both with a per-stage table on --explain)
   compare   attacker/defender ratio report for a document pair
   fp        plateau and decline checks for a configured scalar model
   plan      budgeted allocation (trivial and max-min)
@@ -44,12 +45,11 @@ from .falsepos import (
     plateau_check,
     simple_useful,
 )
-from .model import _quoted, bottleneck_report, perturbed_throughput
+from .model import ONE, _quoted, bottleneck_report, perturbed_throughput
 from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_allocation
 
 
-def _factors(mult) -> dict[str, str]:
-    factor = mult.factor
+def _factors(factor) -> dict[str, str]:
     stages = sorted(factor)
     # text each distinct object once: ONE and a witness's N are one object each
     distinct = {id(f): f for f in factor.values()}
@@ -58,6 +58,25 @@ def _factors(mult) -> dict[str, str]:
     except ValueError:  # the int-string digit limit: _text names the stage
         return {s: _text(factor[s], "factor of stage {}", s) for s in stages}
     return {s: texts[id(factor[s])] for s in stages}
+
+
+def _explain(payload: dict, lines: list[str], p, factor, products, cls) -> None:
+    """--explain: each stage's capacity, factor and perturbed value, from
+    `_analyse`'s unreduced products (stage, n, d), and its role before and
+    after, read off the classification `cls`; capacities and factors print
+    (inputs, or a witness already printed)."""
+    role = ("non-bottleneck", "bottleneck")
+    base, new = cls.base_throughput, cls.new_throughput
+    rows = payload["per_stage"] = []
+    lines.append("per stage: capacity x factor = perturbed, role before -> after")
+    for s, n, d in products:
+        x = Fraction(n, d)
+        row = {"stage": s, "capacity": str(p.capacity[s]), "factor": str(factor[s]),
+               "perturbed": _text(x, "perturbed capacity of stage {}", s),
+               "before": role[p.capacity[s] == base], "after": role[x == new]}
+        rows.append(row)
+        lines.append(f"  {s}: {row['capacity']} x {row['factor']} = {row['perturbed']}, "
+                     f"{row['before']} -> {row['after']}")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -90,7 +109,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_perturb(args) -> int:
     doc = load_document(args.file)
     mult = doc.scenario(args.scenario)
-    cls, pres, migr = _analyse(doc.pipeline, mult)
+    cls, pres, migr, products = _analyse(doc.pipeline, mult)
     base = _text(cls.base_throughput, "base throughput")
     new = _text(cls.new_throughput, "new throughput")
     common = (None if pres.common_factor is None
@@ -126,6 +145,8 @@ def _cmd_perturb(args) -> int:
         )
     else:
         lines.append("migration: none")
+    if args.explain:
+        _explain(payload, lines, doc.pipeline, mult.factor, products, cls)
     _emit(args, payload, lines)
     return 0
 
@@ -139,7 +160,7 @@ def _cmd_ceiling(args) -> int:
     witness = tightness_witness(doc.pipeline, h)
     achieved = _text(perturbed_throughput(doc.pipeline, witness),
                      "witness throughput")
-    factors = _factors(witness)
+    factors = _factors(witness.factor)
     payload = {
         "ceiling": cap,
         "witness": factors,
@@ -155,6 +176,9 @@ def _cmd_ceiling(args) -> int:
         gen = _text(generalized_ceiling(doc.pipeline, h), "assist-bound ceiling")
         payload["generalized_ceiling"] = gen
         lines.append(f"assist-bound ceiling (bound only): {gen}")
+    if args.explain:
+        cls, _, _, products = _analyse(doc.pipeline, witness)
+        _explain(payload, lines, doc.pipeline, witness.factor, products, cls)
     _emit(args, payload, lines)
     return 0
 
@@ -293,12 +317,19 @@ def _cmd_fp(args) -> int:
     return status
 
 
-def _allocation(result) -> dict:
-    return {
-        "factors": _factors(result.multiplier),
-        "throughput": _text(result.achieved_throughput, "planned throughput"),
-        "spent": _text(result.spent, "spent budget"),
-    }
+def _allocation(result, factors: bool) -> dict:
+    """Texts of factors, throughput and spent, made in that order so that both
+    formats refuse the same one first; without `factors`, for the trivial
+    line of text output, raised factors are texted only to be refused."""
+    factor = result.multiplier.factor
+    if factors:
+        texts = {"factors": _factors(factor)}
+    else:
+        _factors({s: f for s, f in factor.items() if f is not ONE})
+        texts = {}
+    texts["throughput"] = _text(result.achieved_throughput, "planned throughput")
+    texts["spent"] = _text(result.spent, "spent budget")
+    return texts
 
 
 def _cmd_plan(args) -> int:
@@ -306,31 +337,25 @@ def _cmd_plan(args) -> int:
     cost = CostModel.uniform(doc.pipeline, _exact(args.budget, "budget"),
                              _exact(args.unit_cost, "unit cost"))
     budget = _text(cost.budget, "budget")
-    payload: dict = {"budget": budget}
-    lines = [f"budget: {budget} (unit cost {args.unit_cost} per stage)"]
-
+    structured = args.format == "structured"
     try:
-        trivial = payload["trivial"] = _allocation(
-            trivial_allocation(doc.pipeline, cost))
-        lines.append(
-            f"trivial (single-bottleneck) allocation: throughput "
-            f"{trivial['throughput']}, spent {trivial['spent']}"
-        )
+        trivial = _allocation(trivial_allocation(doc.pipeline, cost), structured)
     except TiedBottleneckError as exc:
-        payload["trivial"] = {"refused": str(exc)}
-        lines.append(f"trivial allocation refused: {exc}")
+        trivial = {"refused": str(exc)}
+    maxmin = _allocation(maxmin_allocation(doc.pipeline, cost), True)
 
-    maxmin = payload["maxmin"] = _allocation(
-        maxmin_allocation(doc.pipeline, cost))
-    lines.append(
-        f"max-min allocation: throughput {maxmin['throughput']}, "
-        f"spent {maxmin['spent']}"
-    )
-    lines.append(
-        "  factors: "
-        + ", ".join(f"{s}={f}" for s, f in maxmin["factors"].items())
-    )
-    _emit(args, payload, lines)
+    lines = []  # only the requested format is rendered
+    if not structured:
+        lines = [
+            f"budget: {budget} (unit cost {args.unit_cost} per stage)",
+            f"trivial allocation refused: {trivial['refused']}" if "refused" in trivial
+            else f"trivial (single-bottleneck) allocation: throughput "
+                 f"{trivial['throughput']}, spent {trivial['spent']}",
+            f"max-min allocation: throughput {maxmin['throughput']}, "
+            f"spent {maxmin['spent']}",
+            "  factors: " + ", ".join(f"{s}={f}" for s, f in maxmin["factors"].items()),
+        ]
+    _emit(args, {"budget": budget, "trivial": trivial, "maxmin": maxmin}, lines)
     return 0
 
 
@@ -429,12 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("analyze", _cmd_analyze, "throughput and bottleneck report")
     sp.add_argument("file")
 
+    explain = {"action": "store_true", "help": "add a per-stage table: capacity, "
+               "factor, perturbed value, and role before and after"}
     sp = add("perturb", _cmd_perturb, "apply a named scenario and classify it")
     sp.add_argument("file")
     sp.add_argument("--scenario", default=None)
+    sp.add_argument("--explain", **explain)
 
     sp = add("ceiling", _cmd_ceiling, "authority ceiling and tightness witness")
     sp.add_argument("file")
+    sp.add_argument("--explain", **explain)
 
     sp = add("compare", _cmd_compare, "attacker/defender ratio report")
     sp.add_argument("attacker")

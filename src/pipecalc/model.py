@@ -126,14 +126,15 @@ def as_fraction(value: RationalInput) -> Fraction:
     if type(value) is Fraction:
         return value
     if type(value) is str and value.isascii():
-        n, slash, d = value.partition("/")
-        if n.isdigit() and not slash:
-            return Fraction(int(n))
+        if value.isdigit():
+            return Fraction(int(value))
+        n, _, d = value.partition("/")
         if n.isdigit() and d.isdigit() and d.strip("0"):
             return Fraction(int(n), int(d))
         w, _, f = value.partition(".")
         if w.isdigit() and f.isdigit():
-            x = Fraction(int(w) * 10 ** len(f) + int(f), 10 ** len(f))
+            scale = 10 ** len(f)
+            x = Fraction(int(w) * scale + int(f), scale)
             return _printable(x) if len(value) > MAX_EXPONENT else x
     if isinstance(value, bool):
         raise TypeError("booleans are not capacities")

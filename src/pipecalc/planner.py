@@ -14,21 +14,23 @@ how much to improve each stage.  Two allocators:
     sorted capacities, so one sweep in capacity order solves
     cost(t) = budget exactly.
 
-The sweep orders the stages by the integer key floor(c * 2**64), which never
-decreases as c grows, and compares the capacities themselves only where two
-keys tie: exactly capacity order, with no float.  It then runs on integer
+The sweep takes the stages from a heap keyed by the integer floor(c * 2**64),
+which never decreases as c grows, comparing the capacities themselves only
+where two keys tie: exactly capacity order, with no float.  It pops only the
+raised prefix and reads the next capacity off the heap's top, so a level that
+stops after k of n stages orders k of them, not all n.  It runs on integer
 pairs: the raised prefix's cost sum U = sum u and weight sum W = sum u/c
 (with the budget B) are held unreduced over one running denominator, each
 test of the target (B + U)/W against the next capacity is one integer
 cross-multiplication, and the target is normalised once, after the sweep.
 Each raised factor is then one Fraction t/c, and the spend is t*W - U, the
-per-stage sum of u * (t/c - 1) with t factored out.  No factor needs a
-clamp at 1: the first target is c_1 * (1 + B/u_1), and each later one lies
-between the previous target, which passed the new capacity, and that
-capacity, so t is at least every raised capacity.  Every later stage already
-has capacity at least t, keeps factor 1 and adds nothing to the spend.
-So t is the throughput reached, and both allocators return the level they
-built; the tests and perfbench/oracle.py recompute it from the factors.
+per-stage sum of u * (t/c - 1) with t factored out.  No factor needs a clamp
+at 1: the first target is c_1 * (1 + B/u_1), and each later one lies between
+the previous target, which passed the new capacity, and that capacity, so t
+is at least every raised capacity.  Every later stage already has capacity at
+least t, keeps factor 1 and adds nothing to the spend.  So t is the
+throughput reached, and both allocators return the level they built; the
+tests and perfbench/oracle.py recompute it from the factors.
 
 Cost linear in (factor - 1) is a modelling choice; the max-min sweep's
 closed form for each segment relies on it.
@@ -145,22 +147,26 @@ def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     the first k whose t does not pass the next capacity gives the optimum
     (max-min fair water filling).
     """
+    import heapq  # loaded on the first plan, not at start-up
     _check_domain(p, c)
     cap, cost = p.capacity, c.unit_cost
     # floor(x * 2**64) never decreases as x grows, so the int decides the
-    # order wherever it differs and the Fraction breaks its ties; sorted is
-    # stable, so this is exactly the order of sorting by capacity
-    ordered = sorted(
-        p.stages,
-        key=lambda s: (((x := cap[s]).numerator << 64) // x.denominator, x),
-    )
+    # order wherever it differs and the Fraction breaks its ties; the stage's
+    # position breaks the rest, so the heap pops exactly in the order of a
+    # stable sort by capacity, and only as far as the sweep goes
+    heap = [(((x := cap[st]).numerator << 64) // x.denominator, x, i, st)
+            for i, st in enumerate(p.stages)]
+    heapq.heapify(heap)
+    raised = []
     # S = budget + U and W share one unreduced denominator d, held as s/d
     # and w/d, with U = sum u as u_sum/d for the spend.  Raising stage
     # (c, u) scales d by u.d * c.n, so each step multiplies by small
     # integers and no gcd runs until the target is built
     s, u_sum, w, d = c.budget.numerator, 0, 0, c.budget.denominator
-    for k, stage in enumerate(ordered, start=1):
-        x, u = cap[stage], cost[stage]
+    while True:
+        _, x, _, stage = heapq.heappop(heap)
+        raised.append((stage, x))
+        u = cost[stage]
         scale = u.denominator * x.numerator
         u_step = u.numerator * x.numerator * d  # u over d * scale
         s = s * scale + u_step
@@ -168,8 +174,7 @@ def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
         w = w * scale + u.numerator * x.denominator * d
         d *= scale
         # the target s/w is at most the next capacity x iff s*x.d <= x.n*w
-        if k == len(ordered) or s * (x := cap[ordered[k]]).denominator <= (
-                x.numerator * w):
+        if not heap or s * (x := heap[0][1]).denominator <= x.numerator * w:
             break
 
     # the target is at least every raised capacity (see the module
@@ -177,8 +182,7 @@ def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     target = Fraction(s, w)
     t_n, t_d = target.numerator, target.denominator
     factors = dict.fromkeys(p.stages, ONE)
-    for stage in ordered[:k]:
-        x = cap[stage]
+    for stage, x in raised:
         factors[stage] = Fraction(t_n * x.denominator, t_d * x.numerator)
     return AllocationResult(
         multiplier=Multiplier(factors),

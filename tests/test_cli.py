@@ -1,6 +1,5 @@
 import hashlib
 import json
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +80,82 @@ class TestCeiling:
         path = tmp_path / "no_auth.json"
         path.write_text(json.dumps(doc))
         assert main(["ceiling", str(path)]) == 1
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def _row(stage, capacity, factor, perturbed, before, after):
+    return {"stage": stage, "capacity": capacity, "factor": factor,
+            "perturbed": perturbed, "before": before, "after": after}
+
+
+B, N = "bottleneck", "non-bottleneck"
+
+
+class TestExplain:
+    # the worked example a=3, b=1, c=4: "boost" doubles b; the ceiling pins
+    # a, so its witness raises b and c by 4
+    @pytest.mark.parametrize("argv, rows", [
+        (["perturb", "{doc}", "--scenario", "boost"],
+         [_row("a", "3", "1", "3", N, N), _row("b", "1", "2", "2", B, B),
+          _row("c", "4", "1", "4", N, N)]),
+        (["ceiling", "{doc}"],
+         [_row("a", "3", "1", "3", N, B), _row("b", "1", "4", "4", B, N),
+          _row("c", "4", "4", "16", N, N)]),
+    ], ids=["perturb", "ceiling"])
+    def test_worked_example(self, doc_path, capsys, argv, rows):
+        argv = [a.format(doc=doc_path) for a in argv]
+        # the table follows the unchanged lines, and joins the unchanged keys
+        table = "per stage: capacity x factor = perturbed, role before -> after\n"
+        table += "".join(f"  {r['stage']}: {r['capacity']} x {r['factor']} = "
+                         f"{r['perturbed']}, {r['before']} -> {r['after']}\n"
+                         for r in rows)
+        assert _run([*argv, "--explain"], capsys) == (0, _run(argv, capsys)[1] + table)
+        structured = [*argv, "--format", "structured"]
+        plain = json.loads(_run(structured, capsys)[1])
+        assert _run([*structured, "--explain"], capsys) == (
+            0, json.dumps({**plain, "per_stage": rows}, indent=2, sort_keys=True) + "\n")
+
+    def test_tied_bottleneck(self, tmp_path, capsys):
+        # a and b tie at 1; raising a alone leaves b the only bottleneck
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "pipeline": {"name": "tied", "stages": [
+                {"id": "a", "capacity": "1"}, {"id": "b", "capacity": "1"},
+                {"id": "c", "capacity": "3"}]},
+            "scenarios": {"lift": {"a": "5/2"}},
+        }))
+        code, out = _run(["perturb", str(path), "--scenario", "lift", "--explain",
+                          "--format", "structured"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outcome"] == "unchanged"
+        assert payload["departed"] == ["a"]
+        assert payload["per_stage"] == [
+            _row("a", "1", "5/2", "5/2", B, N), _row("b", "1", "1", "1", B, B),
+            _row("c", "3", "1", "3", N, N)]
+
+    def test_unprintable_product_is_named(self, tmp_path, capsys):
+        # a's product 10**4300 has 4301 digits; the throughput is b's 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "pipeline": {"name": "big", "stages": [
+                {"id": "a", "capacity": "1e4299"}, {"id": "b", "capacity": "1"}]},
+            "scenarios": {"up": {"a": "10"}},
+        }))
+        argv = ["perturb", str(path), "--scenario", "up"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--explain"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: perturbed capacity of stage 'a' has too "
+                                "many digits to print exactly\n")
 
 
 class TestCompare:
@@ -411,8 +486,7 @@ def test_factor_text_built_once_per_object():
             return self.text
 
     one, two = Counted("1"), Counted("2")
-    mult = SimpleNamespace(factor={"c": one, "a": two, "b": one})
-    assert _factors(mult) == {"a": "2", "b": "1", "c": "1"}
+    assert _factors({"c": one, "a": two, "b": one}) == {"a": "2", "b": "1", "c": "1"}
     assert sorted(calls) == ["1", "2"]
 
 
@@ -488,6 +562,26 @@ class TestOverlongResults:
         assert captured.out == ""
         assert captured.err == (
             "error: factor of stage 'b' has too many digits to print exactly\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_plan_refuses_trivial_factor_before_spend(self, tmp_path, capsys, fmt):
+        # the trivial allocation raises a to the runner-up, factor 10**8598,
+        # and spends 10**-4299 * (10**8598 - 1): both are unprintable, and
+        # the factor is texted first, though text output never prints it
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "pipeline": {"name": "big", "stages": [
+                {"id": "a", "capacity": "1e-4299"},
+                {"id": "b", "capacity": "1e4299"},
+                {"id": "c", "capacity": "1e4299"}]},
+        }))
+        assert main(["plan", str(path), "--budget", "1e4299",
+                     "--unit-cost", "1e-4299", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: factor of stage 'a' has too many digits to print exactly\n")
 
     # "-1e-4300" is exact and inside the exponent bound, but its denominator
     # 10**4300 has 4301 digits, so it is refused on input before any sign

@@ -254,6 +254,36 @@ class TestRepeatedValueTexts:
             parse_document(_three_stage_doc(scenarios={"x": factors}))
         assert str(info.value) == message
 
+    # a bad capacity or factor among 999 good ones: the refusal labels it
+    # alone, worded as for a document holding only that value
+    @pytest.mark.parametrize("value, reason", [
+        ("abc", " is not an exact rational: Invalid literal for Fraction: 'abc'"),
+        ("1/0", " is not an exact rational: Fraction(1, 0)"),
+        (1.5, " must be exact text or an integer, got 1.5"),
+        (True, " must be exact text or an integer, got True"),
+        (None, " is not an exact rational: argument should be a string or a "
+               "Rational instance"),
+        ("1e5000", " has a decimal exponent above 4300 in magnitude, too large "
+                   "to expand exactly"),
+        ("x" * 100, " is not an exact rational: Invalid literal for Fraction: '"
+                    + "x" * 59 + "... (a str, cut)"),
+    ], ids=["text", "zero-denominator", "float", "bool", "null", "huge-exponent",
+            "long-text"])
+    @pytest.mark.parametrize("where", ["capacity", "factor"])
+    def test_refusal_among_1000_stages(self, where, value, reason):
+        stages = [{"id": f"s{i}", "capacity": str(i % 7 + 1)} for i in range(1000)]
+        factors = {f"s{i}": "3/2" for i in range(0, 1000, 3)}
+        if where == "capacity":
+            stages[499]["capacity"] = value
+            label = "capacity of stage 's499'"
+        else:
+            factors["s500"] = value
+            label = "factor of stage 's500' in 'x'"
+        with pytest.raises(DocumentError) as info:
+            parse_document(json.dumps({"format_version": "1", "pipeline": {
+                "stages": stages}, "scenarios": {"x": factors}}))
+        assert str(info.value) == label + reason
+
     def test_bad_bound_text_names_first_stage(self):
         doc = _three_stage_doc(authority={
             "human_stages": ["c", "a"], "assist_bounds": {"c": "abc", "a": "abc"}})

@@ -132,6 +132,31 @@ class TestAsFraction:
         assert _conversion(as_fraction, text) == _conversion(
             _printable_fraction, text)
 
+    # each spelling's value or refusal, as recorded before the digits-only
+    # test moved ahead of the partition on "/"
+    @pytest.mark.parametrize("text, outcome", [
+        ("17", 17), ("007", 7), ("13/4", Fraction(13, 4)), ("0/5", 0),
+        ("1/0", (ZeroDivisionError, "Fraction(1, 0)")),
+        ("1/00", (ZeroDivisionError, "Fraction(1, 0)")),
+        ("3.25", Fraction(13, 4)), ("3.", 3), (".5", Fraction(1, 2)),
+        ("1_000", 1000), ("+3", 3), (" 3", 3),
+        ("²", (ValueError, "Invalid literal for Fraction: '²'")),
+        ("٣", 3), ("1e3", 1000),
+        ("1e5000", (_TooLong, "value has a decimal exponent above 4300 in "
+                              "magnitude, too large to expand exactly")),
+        ("9" * 4301, (ValueError, "Exceeds the limit (4300 digits) for integer "
+                                  "string conversion: value has 4301 digits; use "
+                                  "sys.set_int_max_str_digits() to increase the limit")),
+        ("", (ValueError, "Invalid literal for Fraction: ''")),
+        ("/", (ValueError, "Invalid literal for Fraction: '/'")),
+    ], ids=["digits", "leading-zeros", "ratio", "zero-over", "zero-denominator",
+            "zeros-denominator", "decimal", "no-fraction-digits", "no-whole-digits",
+            "underscore", "plus", "leading-space", "superscript", "arabic-indic",
+            "exponent", "huge-exponent", "4301-digits", "empty", "slash"])
+    def test_recorded_conversion(self, text, outcome):
+        expected = outcome if type(outcome) is tuple else (Fraction, outcome)
+        assert _conversion(as_fraction, text) == expected
+
     def test_digit_spellings_bypass_fractions_parser(self, monkeypatch):
         monkeypatch.setattr("fractions._RATIONAL_FORMAT", _NoParser())
         assert as_fraction("13/4") == as_fraction("3.25") == Fraction(13, 4)

@@ -247,3 +247,18 @@ def test_water_level_on_1000_stages_all_raised():
     unit_cost = {s: Fraction(rng.randint(1, 50), rng.randint(1, 9)) for s in stages}
     res = assert_water_level(p, CostModel(unit_cost, 10**12))
     assert all(f > 1 for f in res.multiplier.factor.values())
+
+
+# the heap stops after one pop: a level below the second capacity, and one
+# at it (the sweep's `<=` tie)
+@pytest.mark.parametrize("level", [Fraction(3, 2), Fraction(2)])
+def test_water_level_on_1000_stages_one_raised(level):
+    stages = tuple(f"s{i}" for i in range(1000))
+    # capacities 1..1000 out of stage order (7919 is prime to 1000)
+    p = Pipeline(stages, {s: Fraction(i * 7919 % 1000 + 1)
+                          for i, s in enumerate(stages)})
+    unit_cost = {s: Fraction(i % 5 + 1, 3) for i, s in enumerate(stages)}
+    res = assert_water_level(
+        p, CostModel(unit_cost, cost_to_reach(p, unit_cost, level)))
+    assert res.achieved_throughput == level
+    assert [s for s, f in res.multiplier.factor.items() if f > 1] == ["s0"]

@@ -35,7 +35,7 @@ from pipecalc.model import Record
 
 P = Pipeline(("a", "b"), {"a": 3, "b": "1/2"})
 A = Multiplier({"a": 1, "b": 2})
-CLASSIFICATION, PRESERVATION, MIGRATION = _analyse(P, A)
+CLASSIFICATION, PRESERVATION, MIGRATION, _ = _analyse(P, A)
 DOC = parse_document(json.dumps({
     "format_version": "1",
     "pipeline": {"name": "n", "stages": [{"id": "a", "capacity": "3"}]},
@@ -206,12 +206,13 @@ class TestGenericConstructor:
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
-    # -S keeps site from importing typing before pipecalc does
+    # -S keeps site from importing typing before pipecalc does; heapq is
+    # imported by the first max-min plan
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     out = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, pipecalc, pipecalc.cli; "
-         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+         "import sys, pipecalc, pipecalc.cli; print(sorted("
+         "{'dataclasses', 'heapq', 'inspect', 'typing'} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         check=True,
     ).stdout
