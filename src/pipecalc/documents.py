@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 from .ceiling import AuthoritySpec, ConfigurationError
 from .model import (
@@ -50,6 +51,9 @@ class PipelineDocument(Record):
     pipeline: Pipeline
     authority: AuthoritySpec | None
     scenarios: Mapping[str, Multiplier]
+
+    def __post_init__(self):
+        object.__setattr__(self, "scenarios", MappingProxyType(dict(self.scenarios)))
 
     def scenario(self, name: str | None) -> Multiplier:
         """Named scenario, or the identity when name is None."""

@@ -140,32 +140,6 @@ def test_one_pass_per_perturbation(example_pipeline, tmp_path, monkeypatch,
 
 
 @given(pipeline_with_multiplier())
-def test_unchanged_iff_kept_bottleneck(pm):
-    p, a = pm
-    unchanged = perturbed_throughput(p, a) == throughput(p)
-    kept = any(a.factor[s] == 1 for s in bottleneck_set(p))
-    assert unchanged == kept
-
-
-@given(pipeline_with_multiplier())
-def test_strict_increase_iff_all_bottlenecks_improved(pm):
-    p, a = pm
-    increased = perturbed_throughput(p, a) > throughput(p)
-    all_improved = all(a.factor[s] > 1 for s in bottleneck_set(p))
-    assert increased == all_improved
-
-
-@given(pipeline_with_multiplier())
-def test_improving_only_non_bottlenecks_changes_nothing(pm):
-    p, a = pm
-    b = bottleneck_set(p)
-    pinned = Multiplier(
-        {s: Fraction(1) if s in b else f for s, f in a.factor.items()}
-    )
-    assert perturbed_throughput(p, pinned) == throughput(p)
-
-
-@given(pipeline_with_multiplier())
 def test_preservation_iff_conditions(pm):
     p, a = pm
     rep = preservation_report(p, a)

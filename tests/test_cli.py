@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -177,28 +178,54 @@ class TestCompare:
         assert payload["attacker_gain"] == payload["defender_gain"] == "2"
         assert payload["favours_attacker"] is False
 
+    def test_internal_check_failure_exits_2(self, doc_path, capsys, monkeypatch):
+        def raising(attacker, aA, defender, aD):
+            raise InternalCheckError("sides disagree")
+
+        monkeypatch.setattr("pipecalc.cli.ratio_report", raising)
+        assert main(["compare", doc_path, doc_path]) == 2
+        assert capsys.readouterr().err == (
+            "internal verification failure: sides disagree\n")
+
+
+DECAY_MODEL = {
+    "fixed_fraction": {
+        "false_positive_fraction": "1/2",
+        "investigation_capacity": "10",
+    },
+    "precision": {
+        "family": "rational_decay",
+        "coefficient": "1/10",
+        "investigation_capacity": "10",
+    },
+    "samples": ["20", "40", "80"],
+}
+
 
 class TestFp:
     def test_plateau_and_decline(self, tmp_path, capsys):
         path = tmp_path / "fp.json"
-        path.write_text(json.dumps({
-            "fixed_fraction": {
-                "false_positive_fraction": "1/2",
-                "investigation_capacity": "10",
-            },
-            "precision": {
-                "family": "rational_decay",
-                "coefficient": "1/10",
-                "investigation_capacity": "10",
-            },
-            "samples": ["20", "40", "80"],
-        }))
+        path.write_text(json.dumps(DECAY_MODEL))
         assert main(["fp", str(path), "--format", "structured"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["plateau"]["passed"] is True
         assert payload["plateau"]["common_value"] == "5"
         assert payload["decline"]["passed"] is True
         assert payload["decline"]["values"][0] == "10/3"
+
+    @pytest.mark.parametrize("target, planted, section", [
+        ("_simple_useful", lambda lam, m: lam, "plateau"),
+        ("RationalDecayPrecision.value", lambda self, lam: Fraction(1, 2), "decline"),
+    ], ids=["plateau", "decline"])
+    def test_failing_check_exits_2(self, tmp_path, capsys, monkeypatch,
+                                   target, planted, section):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(DECAY_MODEL))
+        monkeypatch.setattr(f"pipecalc.falsepos.{target}", planted)
+        assert main(["fp", str(path), "--format", "structured"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert [payload[s]["passed"] for s in ("plateau", "decline")] == [
+            s != section for s in ("plateau", "decline")]
 
     def test_overlong_integer_refused(self, tmp_path, capsys):
         path = tmp_path / "fp.json"
@@ -331,6 +358,8 @@ class TestPlan:
 class TestVerify:
     def test_small_run(self, capsys):
         assert main(["verify", "--seed", "42", "--count", "25"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        assert main(["verify", "--count", "25", "--max-stages", "1"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
     def test_structured_is_replayable(self, capsys):

@@ -131,6 +131,10 @@ class TestDeclineCheck:
         p = TablePrecision([(1, Fraction(1, 2)), (5, 1),
                             (20, Fraction(1, 2)), (40, Fraction(1, 4))])
         assert decline_check(p, 10, [20, 30, 40]).passed
+        # a breakpoint exactly at the capacity is not above it
+        p = TablePrecision([(10, Fraction(1, 4)), (20, Fraction(1, 2)),
+                            (40, Fraction(1, 4))])
+        assert decline_check(p, 10, [20, 30, 40]).passed
 
 
 # -- properties --------------------------------------------------------------

@@ -1,19 +1,31 @@
+import json
 import random
 from fractions import Fraction
 
+import pytest
+
 import pipecalc.harness as harness
 from pipecalc import (
+    AuthoritySpec,
     GeneratorConfig,
+    Multiplier,
+    Pipeline,
     generate_instance,
     structured_report,
+    text_report,
     verify_all,
 )
-from pipecalc.adversarial import InternalCheckError
+from pipecalc.adversarial import InternalCheckError, RatioReport, ratio_report
 from pipecalc.characterize import CharacterizationVerdict
-from pipecalc.falsepos import FixedFractionModel
+from pipecalc.falsepos import FixedFractionModel, PlateauVerdict
 from pipecalc.harness import (
     CAPACITY_GRID,
     FACTOR_GRID,
+    check_adversarial,
+    check_ceiling,
+    check_falsepos,
+    check_monotonicity,
+    generate_dominating,
     generate_fp_model,
     generate_pair,
     verify_instance,
@@ -49,12 +61,13 @@ class TestGenerateInstance:
         assert len(instances) > 1
 
     def test_respects_grids(self):
-        cfg = GeneratorConfig(seed=5, instance_count=50, max_stages=3)
-        for i in range(50):
-            p, a = generate_instance(cfg, i)
-            assert 1 <= len(p.stages) <= 3
-            assert all(c in CAPACITY_GRID for c in p.capacity.values())
-            assert all(f in FACTOR_GRID for f in a.factor.values())
+        for k in (1, 3):
+            cfg = GeneratorConfig(seed=5, instance_count=50, max_stages=k)
+            for i in range(50):
+                p, a = generate_instance(cfg, i)
+                assert 1 <= len(p.stages) <= k
+                assert all(c in CAPACITY_GRID for c in p.capacity.values())
+                assert all(f in FACTOR_GRID for f in a.factor.values())
 
     def test_tie_and_invariance_coverage(self):
         # small grids must produce frequent ties and kept-at-1 bottlenecks
@@ -89,6 +102,18 @@ def _assert_fp_models_match(pairs):
         assert model == ref_model
         assert [(x.numerator, x.denominator) for x in samples] == [
             (x.numerator, x.denominator) for x in ref_samples]
+
+
+def test_dominating_scales_each_factor_by_a_grid_draw():
+    cfg, raised = GeneratorConfig(seed=13), 0
+    for i in range(30):
+        a = generate_instance(cfg, i)[1]
+        rng = random.Random(f"13:{i}:dominate")
+        g = [rng.choice(FACTOR_GRID) for _ in a.factor]
+        dominating = generate_dominating(cfg, i, a)
+        assert dominating.factor == {s: f * h for (s, f), h in zip(a.factor.items(), g)}
+        raised += dominating != a
+    assert raised
 
 
 class TestGenerateFpModel:
@@ -138,6 +163,13 @@ class TestVerifyAll:
         assert (ce.seed, ce.index) == (99, 0)
         # replay coordinates reproduce the instance exactly
         assert generate_instance(cfg, ce.index) == generate_instance(cfg, 0)
+        assert json.loads(structured_report(verdict))["counterexamples"][4] == {
+            "check": "characterizations", "seed": 99, "index": 4,
+            "message": "deliberately corrupted comparison"}
+        assert "    replay: pipecalc verify --replay=99:4\n" in text_report(verdict)
+        verdict = verify_all(GeneratorConfig(seed=99, instance_count=1, max_stages=3))
+        assert text_report(verdict).endswith(
+            "    replay: pipecalc verify --replay=99:0 --max-stages 3\n")
 
     def test_raising_check_family_is_a_counterexample(self, monkeypatch):
         def raising(attacker, aA, defender, aD):
@@ -186,3 +218,66 @@ def test_verify_instance_uses_the_generated_pair(monkeypatch):
     for i in range(500):
         verify_instance(cfg, i)
         assert seen[-1] == generate_pair(cfg, i)
+
+
+_P = Pipeline(("a", "b", "c"), {"a": 3, "b": 1, "c": 4})
+_DEFENDER = Pipeline(("x", "y"), {"x": 2, "y": 6})
+_CEILING = (check_ceiling, _P, Multiplier({"a": 1, "b": 5, "c": 1}), AuthoritySpec(["b"]))
+_ADVERSARIAL = (check_adversarial, _P, Multiplier.identity(_P), _DEFENDER,
+                Multiplier.identity(_DEFENDER))
+_FALSEPOS = (check_falsepos, FixedFractionModel(Fraction(1, 2), 10), [20, 30])
+_UNEQUAL = ["ratio/gain equivalence violated on recomputation",
+            "ratios must be strictly positive"]
+
+
+def _zero(ratio):
+    """ratio_report with `ratio` reported as 0."""
+    def planted(*sides):
+        report = ratio_report(*sides)
+        return RatioReport(**{f: Fraction(0) if f == ratio else getattr(report, f)
+                              for f in RatioReport._fields})
+    return planted
+
+
+# each failure branch of each check family, made to fire by planting the
+# defect it names in the library function the family checks
+@pytest.mark.parametrize("target, planted, case, failures", [
+    ("harness.is_h_admissible",  # refuses factor 1 off the pinned stages
+     lambda m, h: all((f == 1) == (s in h.human_stages) for s, f in m.factor.items()),
+     _CEILING, ["pinned multiplier not recognised as authority-admissible"]),
+    ("harness.is_h_admissible",  # refuses every raised factor
+     lambda m, h: all(f == 1 for f in m.factor.values()),
+     _CEILING, ["tightness witness is not authority-admissible"]),
+    ("harness.ceiling", lambda p, h: Fraction(1, 2), _CEILING,
+     ["pinned throughput 1 exceeds ceiling 1/2", "witness achieves 1, ceiling is 1/2",
+      "all-ones assist bounds do not reduce to the ceiling"]),
+    ("harness.tightness_witness",  # raises by ceil(ceiling / capacity), no + 1
+     lambda p, h: Multiplier({"a": 2, "b": 1}),
+     (check_ceiling, Pipeline(("a", "b"), {"a": 1, "b": 2}),
+      Multiplier({"a": 1, "b": 1}), AuthoritySpec(["b"])),
+     ["witness leaves a non-pinned stage at or below the ceiling"]),
+    ("harness.ratio_report", _zero("baseline_ratio"), _ADVERSARIAL, _UNEQUAL),
+    ("harness.ratio_report", _zero("perturbed_ratio"), _ADVERSARIAL, _UNEQUAL),
+    ("harness.defender_misses_bottleneck", lambda *sides: True, _ADVERSARIAL,
+     ["defender missed its bottleneck yet the ratio did not move in the "
+      "attacker's favour"]),
+    ("harness.plateau_check",
+     lambda m, samples: PlateauVerdict(passed=False, common_value=None,
+                                       samples_checked=len(samples)),
+     _FALSEPOS, ["fixed-fraction plateau violated"]),
+    ("falsepos.RationalDecayPrecision.value", lambda self, lam: Fraction(1, 2),
+     _FALSEPOS, ["rational-decay decline violated"]),
+    ("falsepos.ConstantPrecision.value", lambda self, lam: 1 / lam,
+     _FALSEPOS, ["constant precision did not stay constant"]),
+    ("harness.perturbed_throughput",  # divides by each factor
+     lambda p, m: min(c / m.factor[s] for s, c in p.capacity.items()),
+     (check_monotonicity, _P, Multiplier.identity(_P), Multiplier({"a": 1, "b": 2, "c": 1})),
+     ["throughput not monotone under stagewise domination"]),
+], ids=["pinned-refused", "witness-refused", "ceiling-too-low", "witness-at-ceiling",
+        "zero-baseline", "zero-perturbed", "missed-bottleneck", "plateau",
+        "decay-flat", "constant-varies", "monotonicity"])
+def test_check_fires_on_planted_defect(monkeypatch, target, planted, case, failures):
+    check, *args = case
+    assert check(*args) == []
+    monkeypatch.setattr(f"pipecalc.{target}", planted)
+    assert check(*args) == failures

@@ -16,6 +16,7 @@ from pipecalc import (
     bottleneck_report,
     bottleneck_set,
     ceiling,
+    document_for_pipeline,
     migration_decomposition,
     perturb,
     perturbed_throughput,
@@ -25,7 +26,7 @@ from pipecalc import (
 from pipecalc.ceiling import ConfigurationError
 from pipecalc.characterize import scan_min
 from pipecalc.planner import CostModelError
-from pipecalc.model import _TooLong, as_fraction, check_admissible
+from pipecalc.model import _TooLong, _quoted as quoted, as_fraction, check_admissible
 
 
 # text that as_fraction reads with int() alone, and its neighbours that go
@@ -209,6 +210,10 @@ class TestCheckAdmissible:
         assert message.startswith("missing factors for stages ['kkk")
         assert "; factors for unknown stages ['uuu" in message
 
+    def test_quote_limit_is_60_characters(self):
+        assert quoted("x" * 58) == "'" + "x" * 58 + "'"
+        assert quoted("x" * 59) == "'" + "x" * 59 + "... (a str, cut)"
+
 
 # refusals that list stage ids quote the list through the model's quoting:
 # a short list is written whole, and one 100,000-character id or a
@@ -358,8 +363,9 @@ class TestValidatePipeline:
     lambda p: Multiplier.identity(p).factor,
     lambda p: CostModel.uniform(p, 1).unit_cost,
     lambda p: AuthoritySpec({"a"}, {"a": 2}).assist_bound,
+    lambda p: document_for_pipeline(p).scenarios,
 ], ids=["Pipeline", "perturbed-Pipeline", "Multiplier", "CostModel",
-        "AuthoritySpec"])
+        "AuthoritySpec", "PipelineDocument"])
 def test_mappings_are_read_only(example_pipeline, mapping):
     with pytest.raises(TypeError):
         mapping(example_pipeline)["a"] = 5
@@ -389,12 +395,6 @@ def test_perturb_closed(pm):
 def test_normal_form(pm):
     p, a = pm
     assert perturbed_throughput(p, a) == throughput(perturb(p, a))
-
-
-@given(pipeline_with_multiplier())
-def test_non_decrease(pm):
-    p, a = pm
-    assert perturbed_throughput(p, a) >= throughput(p)
 
 
 @given(st.lists(fractions(), min_size=1, max_size=8), fractions())

@@ -82,7 +82,8 @@ REPRS = [
      "values=(Fraction(5, 6), Fraction(10, 13)))"),
     (DOC, "PipelineDocument(name='n', pipeline=Pipeline(stages=('a',), "
           "capacity=mappingproxy({'a': Fraction(3, 1)})), authority=None, "
-          "scenarios={'up': Multiplier(factor=mappingproxy({'a': Fraction(2, 1)}))})"),
+          "scenarios=mappingproxy({'up': Multiplier(factor=mappingproxy({'a': "
+          "Fraction(2, 1)}))}))"),
     (GeneratorConfig(seed=3, instance_count=2, max_stages=4),
      "GeneratorConfig(seed=3, instance_count=2, max_stages=4)"),
     (Counterexample(check="ceiling", seed=1, index=2, message="m"),
