@@ -261,6 +261,7 @@ def document_for_pipeline(pipeline: Pipeline, name: str = "") -> PipelineDocumen
 def load_document(path) -> PipelineDocument:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_document(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    return parse_document(text)

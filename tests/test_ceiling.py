@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import pipeline_with_multiplier, pipelines
+from conftest import pipelines
 from pipecalc import (
     AuthoritySpec,
     ConfigurationError,
@@ -99,27 +99,6 @@ class TestGeneralizedCeiling:
     def test_missing_bounds_rejected(self, example_pipeline):
         with pytest.raises(ConfigurationError):
             generalized_ceiling(example_pipeline, AuthoritySpec({"a"}))
-
-
-# -- properties --------------------------------------------------------------
-
-
-@given(pipeline_with_multiplier(), st.data())
-def test_assist_bound_dominates(pm, data):
-    p, a = pm
-    k = data.draw(st.integers(min_value=1, max_value=len(p.stages)))
-    human = frozenset(list(p.stages)[:k])
-    bounds = {
-        s: data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
-        for s in human
-    }
-    h = AuthoritySpec(human, bounds)
-    # factors capped at the assist bound on pinned stages, arbitrary elsewhere
-    capped = Multiplier(
-        {s: min(f, bounds[s]) if s in human else f
-         for s, f in a.factor.items()}
-    )
-    assert perturbed_throughput(p, capped) <= generalized_ceiling(p, h)
 
 
 # n/d against n'/d' with 30-digit parts that differ by at most one, so the

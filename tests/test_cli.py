@@ -34,9 +34,13 @@ class TestAnalyze:
         assert payload["throughput"] == "1"
         assert payload["bottlenecks"] == ["b"]
 
-    def test_missing_file(self, tmp_path, capsys):
-        assert main(["analyze", str(tmp_path / "nope.json")]) == 1
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("content", [None, b"\xff{}"], ids=["missing", "not-utf-8"])
+    def test_missing_file(self, tmp_path, capsys, content):
+        path = tmp_path / "nope.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     def test_invalid_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -186,6 +190,14 @@ class TestCompare:
         assert main(["compare", doc_path, doc_path]) == 2
         assert capsys.readouterr().err == (
             "internal verification failure: sides disagree\n")
+
+    def test_unreadable_defender_named(self, doc_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        assert main(["compare", doc_path, str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in "
+            "position 0: invalid start byte\n")
 
 
 DECAY_MODEL = {

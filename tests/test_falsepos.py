@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fractions
 from pipecalc import (
     ConstantPrecision,
     DomainError,
@@ -135,50 +134,6 @@ class TestDeclineCheck:
         p = TablePrecision([(10, Fraction(1, 4)), (20, Fraction(1, 2)),
                             (40, Fraction(1, 4))])
         assert decline_check(p, 10, [20, 30, 40]).passed
-
-
-# -- properties --------------------------------------------------------------
-
-
-@given(
-    st.integers(min_value=0, max_value=99),
-    fractions(),
-    st.lists(fractions(), min_size=2, max_size=10),
-)
-def test_plateau_everywhere_above_capacity(f_pct, c_inv, offsets):
-    m = FixedFractionModel(Fraction(f_pct, 100), c_inv)
-    samples = [c_inv + off for off in offsets]
-    verdict = plateau_check(m, samples)
-    assert verdict.passed
-    assert verdict.common_value == (1 - Fraction(f_pct, 100)) * c_inv
-
-
-@given(fractions(), fractions(), st.lists(fractions(), min_size=2,
-                                          max_size=8, unique=True))
-def test_rational_decay_strictly_declines(k, c_inv, offsets):
-    p = RationalDecayPrecision(k)
-    samples = sorted(c_inv + off for off in offsets)
-    values = [repaired_useful(x, p, c_inv) for x in samples]
-    assert all(v1 > v2 for v1, v2 in zip(values, values[1:]))
-
-
-@given(st.integers(min_value=0, max_value=100), fractions(), fractions())
-def test_constant_reproduces_fixed_fraction(f_pct, c_inv, offset):
-    f = Fraction(f_pct, 100)
-    lam = c_inv + offset
-    p = ConstantPrecision(1 - f)
-    if f < 1:
-        m = FixedFractionModel(f, c_inv)
-        assert repaired_useful(lam, p, c_inv) == simple_useful(lam, m)
-
-
-@given(st.integers(min_value=0, max_value=100), fractions(), fractions())
-def test_below_saturation_scales_with_rate(f_pct, c_inv, lam):
-    f = Fraction(f_pct, 100)
-    if f == 1 or lam > c_inv:
-        return
-    m = FixedFractionModel(f, c_inv)
-    assert simple_useful(lam, m) == (1 - f) * lam
 
 
 # -- every result against plain Fraction operators --------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fractions, pipeline_with_multiplier, pipelines
+from conftest import fractions, pipeline_with_multiplier
 from pipecalc import (
     AdmissibilityError,
     AuthoritySpec,
@@ -244,15 +244,6 @@ class TestThroughput:
     def test_singleton(self):
         assert throughput(Pipeline(("only",), {"only": 7})) == 7
 
-    def test_random_against_scan(self):
-        import random
-
-        rng = random.Random(7)
-        stages = tuple(f"s{i}" for i in range(6))
-        caps = {s: Fraction(rng.randint(1, 10)) for s in stages}
-        p = Pipeline(stages, caps)
-        assert throughput(p) == scan_min([caps[s] for s in stages])
-
 
 class TestBottleneckReport:
     def test_example(self, example_pipeline):
@@ -374,15 +365,6 @@ def test_mappings_are_read_only(example_pipeline, mapping):
 # -- properties --------------------------------------------------------------
 
 
-@given(pipelines())
-def test_bottleneck_nonempty_and_attains_min(p):
-    t = throughput(p)
-    b = bottleneck_set(p)
-    assert b
-    assert all(p.capacity[s] == t for s in b)
-    assert all(p.capacity[s] > t for s in p.stages if s not in b)
-
-
 @given(pipeline_with_multiplier())
 def test_perturb_closed(pm):
     p, a = pm
@@ -395,13 +377,6 @@ def test_perturb_closed(pm):
 def test_normal_form(pm):
     p, a = pm
     assert perturbed_throughput(p, a) == throughput(perturb(p, a))
-
-
-@given(st.lists(fractions(), min_size=1, max_size=8), fractions())
-def test_strict_minimum_micro_lemma(values, c):
-    # any family strictly above c has its minimum strictly above c
-    family = [c + v for v in values]
-    assert scan_min(family) > c
 
 
 # values with mixed denominators, and some at the 10**±4300 ends of the

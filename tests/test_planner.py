@@ -2,17 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipecalc.model as model
-from conftest import count_calls, fractions, pipelines
+from conftest import count_calls, fractions
 from pipecalc import (
     CostModel,
     Multiplier,
     Pipeline,
     TiedBottleneckError,
-    bottleneck_set,
     maxmin_allocation,
     perturbed_throughput,
     throughput,
@@ -99,13 +98,6 @@ class TestUnitCostConversion:
         assert counts["as_fraction"] == 1  # the budget
 
 
-@given(pipelines(), st.integers(min_value=0, max_value=6))
-def test_trivial_level_is_perturbed_throughput(p, budget):
-    assume(len(bottleneck_set(p)) == 1)
-    res = trivial_allocation(p, CostModel.uniform(p, budget))
-    assert res.achieved_throughput == perturbed_throughput(p, res.multiplier)
-
-
 def test_allocators_make_no_second_pass(example_pipeline, monkeypatch):
     names = ("_products", "perturbed_throughput")
     counts = count_calls(monkeypatch, names)
@@ -117,25 +109,6 @@ def test_allocators_make_no_second_pass(example_pipeline, monkeypatch):
     # the wrappers are live: one recomputation is counted once each
     assert model.perturbed_throughput(p, res.multiplier) == res.achieved_throughput
     assert dict(counts) == dict.fromkeys(names, 1)
-
-
-@given(pipelines(max_stages=4), st.integers(min_value=0, max_value=5))
-def test_monotone_in_budget(p, budget):
-    r1 = maxmin_allocation(p, CostModel.uniform(p, budget))
-    r2 = maxmin_allocation(p, CostModel.uniform(p, budget + 1))
-    assert r2.achieved_throughput >= r1.achieved_throughput
-
-
-@given(pipelines(max_stages=4), st.integers(min_value=1, max_value=6))
-def test_strict_improvement_covers_all_bottlenecks(p, budget):
-    res = maxmin_allocation(p, CostModel.uniform(p, budget))
-    if res.achieved_throughput > throughput(p):
-        t = throughput(p)
-        assert all(
-            res.multiplier.factor[s] > 1
-            for s in p.stages
-            if p.capacity[s] == t
-        )
 
 
 def cost_to_reach(p: Pipeline, unit_cost, target: Fraction) -> Fraction:
