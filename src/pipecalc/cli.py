@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -441,10 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pipecalc",
         description="Exact bottleneck-throughput analysis for serial pipelines.",
     )
+    parser.commands = {}  # each subcommand's own parser, by name, for main
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
-        sp = sub.add_parser(name, help=help_text)
+        sp = parser.commands[name] = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument(
             "--format", choices=["text", "structured"], default="text"
@@ -491,9 +493,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line: the named subcommand's own parser reads it, and
+    argv that this parser cannot read whole is read again by the whole one."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        unread = True
+        if command is not None:
+            args, unread = command.parse_known_args(argv[1:])
+        if unread:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
@@ -504,6 +514,11 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early (`| head`)
+        # point stdout at devnull, so that the flush at exit cannot raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

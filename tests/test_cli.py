@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -531,17 +534,81 @@ def test_factor_text_built_once_per_object():
     assert sorted(calls) == ["1", "2"]
 
 
-class TestUsageErrors:
-    def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate"]) == 1
+def _whole_parser(argv) -> int:
+    """main's dispatch through the whole parser alone: parse all of argv,
+    then run the subcommand, with SystemExit mapped as main maps it."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+    return args.func(args)
 
-    def test_no_subcommand(self, capsys):
-        assert main([]) == 1
+
+# DOC is the worked example and FP a model file; None runs sys.argv
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["analyze", "DOC"], 0, id="analyze"),
+    pytest.param(["perturb", "DOC", "--scenario", "boost", "--explain"], 0, id="perturb"),
+    pytest.param(["ceiling", "DOC", "--format", "structured"], 0, id="ceiling"),
+    pytest.param(["compare", "DOC", "DOC", "--scenario", "boost"], 0, id="compare"),
+    pytest.param(["fp", "FP"], 0, id="fp"),
+    pytest.param(["plan", "DOC", "--budget", "1", "--unit-cost", "1/2"], 0, id="plan"),
+    pytest.param(["verify", "--count", "3", "--format", "structured"], 0, id="verify"),
+    pytest.param([], 1, id="no-subcommand"),
+    pytest.param(["-h"], 0, id="h"),
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["frobnicate"], 1, id="unknown-subcommand"),
+    pytest.param(["perturb", "--help"], 0, id="subcommand-help"),
+    pytest.param(["analyze"], 1, id="missing-positional"),
+    pytest.param(["plan", "DOC"], 1, id="missing-budget"),
+    pytest.param(["analyze", "DOC", "extra"], 1, id="extra-positional"),
+    pytest.param(["analyze", "DOC", "--bogus"], 1, id="unknown-option"),
+    pytest.param(["analyze", "DOC", "--format", "xml"], 1, id="format-xml"),
+    pytest.param(["analyze", "DOC", "--form", "structured"], 0, id="abbreviation"),
+    pytest.param(["analyze", "--", "DOC"], 0, id="double-dash"),
+    pytest.param(["verify", "--count", "x"], 1, id="count-x"),
+    pytest.param(None, 0, id="sys-argv"),
+])
+def test_dispatch_matches_whole_parser(doc_path, tmp_path, capsys, monkeypatch,
+                                       argv, code):
+    model = tmp_path / "fp.json"
+    model.write_text(json.dumps(DECAY_MODEL))
+    if argv is None:
+        monkeypatch.setattr(sys, "argv", ["pipecalc", "analyze", doc_path])
+    else:
+        argv = [{"DOC": doc_path, "FP": str(model)}.get(a, a) for a in argv]
+    assert main(argv) == code
+    got = capsys.readouterr()
+    assert _whole_parser(argv) == code
+    assert capsys.readouterr() == got
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_closed_pipe_ends_quietly(tmp_path, fmt):
+    # 20,000 bottlenecks print far more than a pipe buffer holds
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"format_version": "1", "pipeline": {"stages": [
+        {"id": f"s{i}", "capacity": "1"} for i in range(20_000)]}}))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pipecalc.cli", "analyze", str(path), "--format", fmt],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 class TestParserReuse:
     def test_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_accepted_call_skips_whole_parser(self, doc_path, capsys, monkeypatch):
+        def whole(argv):
+            raise AssertionError("the whole parser read an accepted call")
+        monkeypatch.setattr(build_parser(), "parse_args", whole)
+        assert main(["plan", doc_path, "--budget", "1"]) == 0
 
     def test_scenario_does_not_carry_over(self, doc_path, capsys):
         assert main(["perturb", doc_path, "--scenario", "boost"]) == 0
