@@ -7,6 +7,10 @@ imposed by unimprovable stages, compares attacker and defender pipelines,
 models useful alert throughput under false positives, allocates improvement
 budgets, and cross-checks every one of those claims against brute-force
 recomputation on seeded random instances.
+
+`characterize`, `falsepos`, `harness` and `planner`, and the names this
+package takes from them, are imported on first access (PEP 562), so that a
+command line loads only the modules its subcommand runs.
 """
 
 from .adversarial import (
@@ -24,17 +28,6 @@ from .ceiling import (
     is_h_admissible,
     tightness_witness,
 )
-from .characterize import (
-    CharacterizationVerdict,
-    MigrationDecomposition,
-    Outcome,
-    PerturbationClassification,
-    PreservationReport,
-    classify,
-    migration_decomposition,
-    preservation_report,
-    verify_characterizations,
-)
 from .documents import (
     DocumentError,
     PipelineDocument,
@@ -42,27 +35,6 @@ from .documents import (
     load_document,
     parse_document,
     serialize_document,
-)
-from .falsepos import (
-    ConstantPrecision,
-    DeclineVerdict,
-    DomainError,
-    FixedFractionModel,
-    PlateauVerdict,
-    RationalDecayPrecision,
-    TablePrecision,
-    decline_check,
-    plateau_check,
-    repaired_useful,
-    simple_useful,
-)
-from .harness import (
-    GeneratorConfig,
-    HarnessVerdict,
-    generate_instance,
-    structured_report,
-    text_report,
-    verify_all,
 )
 from .model import (
     AdmissibilityError,
@@ -78,12 +50,34 @@ from .model import (
     throughput,
     validate_pipeline,
 )
-from .planner import (
-    AllocationResult,
-    CostModel,
-    TiedBottleneckError,
-    maxmin_allocation,
-    trivial_allocation,
-)
+
+# each name imported on first access, and the module that defines it
+_LAZY = {
+    name: module
+    for module, names in {
+        "characterize": "CharacterizationVerdict MigrationDecomposition Outcome "
+                        "PerturbationClassification PreservationReport classify "
+                        "migration_decomposition preservation_report "
+                        "verify_characterizations",
+        "falsepos": "ConstantPrecision DeclineVerdict DomainError FixedFractionModel "
+                    "PlateauVerdict RationalDecayPrecision TablePrecision "
+                    "decline_check plateau_check repaired_useful simple_useful",
+        "harness": "GeneratorConfig HarnessVerdict generate_instance "
+                   "structured_report text_report verify_all",
+        "planner": "AllocationResult CostModel TiedBottleneckError "
+                   "maxmin_allocation trivial_allocation",
+    }.items()
+    for name in (module, *names.split())
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value
+
 
 __version__ = "0.1.0"

@@ -28,26 +28,14 @@ import re
 import sys
 from fractions import Fraction
 
-from . import harness
 from .adversarial import InternalCheckError, ratio_report
 from .ceiling import (
     ceiling as ceiling_value,
     generalized_ceiling,
     tightness_witness,
 )
-from .characterize import _analyse, verify_characterizations
 from .documents import DocumentError, _exact, _json, _text, load_document
-from .falsepos import (
-    ConstantPrecision,
-    FixedFractionModel,
-    RationalDecayPrecision,
-    TablePrecision,
-    decline_check,
-    plateau_check,
-    simple_useful,
-)
 from .model import ONE, _quoted, bottleneck_report, perturbed_throughput
-from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_allocation
 
 
 def _factors(factor) -> dict[str, str]:
@@ -108,6 +96,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from .characterize import _analyse
     doc = load_document(args.file)
     mult = doc.scenario(args.scenario)
     cls, pres, migr, products = _analyse(doc.pipeline, mult)
@@ -178,6 +167,7 @@ def _cmd_ceiling(args) -> int:
         payload["generalized_ceiling"] = gen
         lines.append(f"assist-bound ceiling (bound only): {gen}")
     if args.explain:
+        from .characterize import _analyse
         cls, _, _, products = _analyse(doc.pipeline, witness)
         _explain(payload, lines, doc.pipeline, witness.factor, products, cls)
     _emit(args, payload, lines)
@@ -231,15 +221,17 @@ def _table_points(pc: dict) -> list[tuple[Fraction, Fraction]]:
             for lam, p in points]
 
 
+# each family's precision, from the falsepos module and the model file section
 _PRECISION_FAMILIES = {
-    "constant": lambda pc: ConstantPrecision(_number(pc, "level", "precision")),
-    "rational_decay": lambda pc: RationalDecayPrecision(
+    "constant": lambda fp, pc: fp.ConstantPrecision(_number(pc, "level", "precision")),
+    "rational_decay": lambda fp, pc: fp.RationalDecayPrecision(
         _number(pc, "coefficient", "precision")),
-    "table": lambda pc: TablePrecision(_table_points(pc)),
+    "table": lambda fp, pc: fp.TablePrecision(_table_points(pc)),
 }
 
 
 def _cmd_fp(args) -> int:
+    from . import falsepos
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
@@ -264,12 +256,12 @@ def _cmd_fp(args) -> int:
 
     if "fixed_fraction" in cfg:
         ff = _section(cfg, "fixed_fraction")
-        model = FixedFractionModel(
+        model = falsepos.FixedFractionModel(
             _number(ff, "false_positive_fraction", "fixed_fraction"),
             _number(ff, "investigation_capacity", "fixed_fraction"),
         )
         above = [s for s in samples if s > model.investigation_capacity]
-        verdict = plateau_check(model, above)
+        verdict = falsepos.plateau_check(model, above)
         common = _text(verdict.common_value, "plateau value")
         payload["plateau"] = {
             "passed": verdict.passed,
@@ -285,7 +277,7 @@ def _cmd_fp(args) -> int:
             status = 2
         for lam in samples:
             lines.append(f"  U({_text(lam, 'sample')}) = "
-                         f"{_text(simple_useful(lam, model), 'useful rate')}")
+                         f"{_text(falsepos.simple_useful(lam, model), 'useful rate')}")
 
     if "precision" in cfg:
         pc = _section(cfg, "precision")
@@ -295,10 +287,10 @@ def _cmd_fp(args) -> int:
                 f"unknown precision family {_quoted(family)}; "
                 f"have {sorted(_PRECISION_FAMILIES)}"
             )
-        p = _PRECISION_FAMILIES[family](pc)
+        p = _PRECISION_FAMILIES[family](falsepos, pc)
         c_inv = _number(pc, "investigation_capacity", "precision")
         above = sorted({s for s in samples if s > c_inv})
-        verdict = decline_check(p, c_inv, above)
+        verdict = falsepos.decline_check(p, c_inv, above)
         values = [_text(v, "useful rate") for v in verdict.values]
         payload["decline"] = {
             "passed": verdict.passed,
@@ -334,6 +326,7 @@ def _allocation(result, factors: bool) -> dict:
 
 
 def _cmd_plan(args) -> int:
+    from .planner import CostModel, TiedBottleneckError, maxmin_allocation, trivial_allocation
     doc = load_document(args.file)
     cost = CostModel.uniform(doc.pipeline, _exact(args.budget, "budget"),
                              _exact(args.unit_cost, "unit cost"))
@@ -361,6 +354,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
     if args.replay is not None:
         return _replay(args)
     cfg = harness.GeneratorConfig(
@@ -397,6 +391,8 @@ def _replay_target(text: str) -> tuple[int, int]:
 def _replay(args) -> int:
     """Instance SEED:INDEX re-run through every check family, with the
     values `verify_characterizations` reads (none if that check raises)."""
+    from . import harness
+    from .characterize import verify_characterizations
     seed, index = args.replay
     cfg = harness.GeneratorConfig(seed=seed, max_stages=args.max_stages)
     results = harness.verify_instance(cfg, index)
@@ -433,6 +429,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_EXPLAIN = {"action": "store_true", "help": "add a per-stage table: capacity, "
+            "factor, perturbed value, and role before and after"}
+
+# each subcommand's function, help line and arguments after --format, in order:
+# the one definition that the whole parser and the one-command parsers read
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "throughput and bottleneck report", {"file": {}}),
+    "perturb": (_cmd_perturb, "apply a named scenario and classify it",
+                {"file": {}, "--scenario": {"default": None}, "--explain": _EXPLAIN}),
+    "ceiling": (_cmd_ceiling, "authority ceiling and tightness witness",
+                {"file": {}, "--explain": _EXPLAIN}),
+    "compare": (_cmd_compare, "attacker/defender ratio report",
+                {"attacker": {}, "defender": {}, "--scenario": {"default": None}}),
+    "fp": (_cmd_fp, "plateau and decline checks for a scalar model", {"file": {}}),
+    "plan": (_cmd_plan, "budgeted improvement allocation",
+             {"file": {}, "--budget": {"required": True}, "--unit-cost": {"default": "1"}}),
+    "verify": (_cmd_verify, "randomized verification harness", {
+        "--seed": {"type": _int, "default": 0},
+        "--count": {"type": _int, "default": 10_000},
+        "--max-stages": {"type": _int, "default": 8},
+        "--replay": {"type": _replay_target, "default": None, "metavar": "SEED:INDEX",
+                     "help": "re-run one instance, showing each check and the "
+                             "values behind it (--count is not used)"}}),
+}
+
+
+def _define(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`parser`, given subcommand `name`'s function and arguments."""
+    func, _, arguments = _COMMANDS[name]
+    parser.set_defaults(func=func)
+    parser.add_argument("--format", choices=["text", "structured"], default="text")
+    for flag, options in arguments.items():
+        parser.add_argument(flag, **options)
+    return parser
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
@@ -442,72 +474,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pipecalc",
         description="Exact bottleneck-throughput analysis for serial pipelines.",
     )
-    parser.commands = {}  # each subcommand's own parser, by name, for main
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        sp = parser.commands[name] = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=func)
-        sp.add_argument(
-            "--format", choices=["text", "structured"], default="text"
-        )
-        return sp
-
-    sp = add("analyze", _cmd_analyze, "throughput and bottleneck report")
-    sp.add_argument("file")
-
-    explain = {"action": "store_true", "help": "add a per-stage table: capacity, "
-               "factor, perturbed value, and role before and after"}
-    sp = add("perturb", _cmd_perturb, "apply a named scenario and classify it")
-    sp.add_argument("file")
-    sp.add_argument("--scenario", default=None)
-    sp.add_argument("--explain", **explain)
-
-    sp = add("ceiling", _cmd_ceiling, "authority ceiling and tightness witness")
-    sp.add_argument("file")
-    sp.add_argument("--explain", **explain)
-
-    sp = add("compare", _cmd_compare, "attacker/defender ratio report")
-    sp.add_argument("attacker")
-    sp.add_argument("defender")
-    sp.add_argument("--scenario", default=None)
-
-    sp = add("fp", _cmd_fp, "plateau and decline checks for a scalar model")
-    sp.add_argument("file")
-
-    sp = add("plan", _cmd_plan, "budgeted improvement allocation")
-    sp.add_argument("file")
-    sp.add_argument("--budget", required=True)
-    sp.add_argument("--unit-cost", default="1")
-
-    sp = add("verify", _cmd_verify, "randomized verification harness")
-    sp.add_argument("--seed", type=_int, default=0)
-    sp.add_argument("--count", type=_int, default=10_000)
-    sp.add_argument("--max-stages", type=_int, default=8)
-    sp.add_argument("--replay", type=_replay_target, default=None,
-                    metavar="SEED:INDEX",
-                    help="re-run one instance, showing each check and the "
-                         "values behind it (--count is not used)")
-
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _define(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand `name`'s parser alone, as `build_parser` makes it, built
+    on first use and shared in the same way."""
+    return _define(_Parser(prog=f"pipecalc {name}"), name)
 
 
 def main(argv=None) -> int:
     """Run one command line: the named subcommand's own parser reads it, and
     argv that this parser cannot read whole is read again by the whole one."""
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    command = parser.commands.get(argv[0]) if argv else None
     try:
         unread = True
-        if command is not None:
-            args, unread = command.parse_known_args(argv[1:])
+        if argv and argv[0] in _COMMANDS:
+            args, unread = _command_parser(argv[0]).parse_known_args(argv[1:])
         if unread:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return status
     except ValueError as exc:  # every validation error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -492,7 +492,7 @@ class TestReplay:
             raise RuntimeError("planted")
 
         monkeypatch.setattr(harness, "verify_characterizations", raising)
-        monkeypatch.setattr("pipecalc.cli.verify_characterizations", raising)
+        monkeypatch.setattr("pipecalc.characterize.verify_characterizations", raising)
         # a negative seed needs the --replay=SEED:INDEX spelling the report prints
         assert main(["verify", "--replay=-4:0"]) == 2
         out = capsys.readouterr().out.splitlines()
@@ -558,6 +558,8 @@ def _whole_parser(argv) -> int:
     pytest.param(["--help"], 0, id="help"),
     pytest.param(["frobnicate"], 1, id="unknown-subcommand"),
     pytest.param(["perturb", "--help"], 0, id="subcommand-help"),
+    *(pytest.param([sub, "--help"], 0, id=f"{sub}-help")
+      for sub in ("analyze", "ceiling", "compare", "fp", "plan", "verify")),
     pytest.param(["analyze"], 1, id="missing-positional"),
     pytest.param(["plan", "DOC"], 1, id="missing-budget"),
     pytest.param(["analyze", "DOC", "extra"], 1, id="extra-positional"),
@@ -582,22 +584,30 @@ def test_dispatch_matches_whole_parser(doc_path, tmp_path, capsys, monkeypatch,
     assert capsys.readouterr() == got
 
 
-@pytest.mark.parametrize("fmt", ["text", "structured"])
-def test_closed_pipe_ends_quietly(tmp_path, fmt):
-    # 20,000 bottlenecks print far more than a pipe buffer holds
+# BIG prints more than stdout's buffer holds, so a print raises; DOC and the
+# verify report print less, and raise only when main flushes stdout
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "BIG"], id="text"),
+    pytest.param(["analyze", "BIG", "--format", "structured"], id="structured"),
+    pytest.param(["analyze", "DOC"], id="small"),
+    pytest.param(["verify", "--count", "2"], id="verify-small"),
+])
+def test_closed_pipe_ends_quietly(tmp_path, doc_path, argv):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"format_version": "1", "pipeline": {"stages": [
         {"id": f"s{i}", "capacity": "1"} for i in range(20_000)]}}))
+    argv = [{"BIG": str(path), "DOC": doc_path}.get(a, a) for a in argv]
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pipecalc.cli", "analyze", str(path), "--format", fmt],
-        env={**os.environ, "PYTHONPATH": src},
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, every print writes at once
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pipecalc.cli", *argv],
+                              env=env, stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestParserReuse:
@@ -605,9 +615,9 @@ class TestParserReuse:
         assert build_parser() is build_parser()
 
     def test_accepted_call_skips_whole_parser(self, doc_path, capsys, monkeypatch):
-        def whole(argv):
-            raise AssertionError("the whole parser read an accepted call")
-        monkeypatch.setattr(build_parser(), "parse_args", whole)
+        def whole():
+            raise AssertionError("an accepted call built the whole parser")
+        monkeypatch.setattr("pipecalc.cli.build_parser", whole)
         assert main(["plan", doc_path, "--budget", "1"]) == 0
 
     def test_scenario_does_not_carry_over(self, doc_path, capsys):

@@ -1,7 +1,9 @@
 """Every public value type is an immutable record (`model.Record`): frozen,
 compared and hashed by its field tuple, printed as a frozen dataclass
-printed it, and picklable."""
+printed it, and picklable; and the package keeps every name it exports
+while importing only what a command runs."""
 
+import importlib
 import json
 import os
 import pickle
@@ -10,6 +12,7 @@ import sys
 
 import pytest
 
+import pipecalc
 from pipecalc import (
     AuthoritySpec,
     ConstantPrecision,
@@ -206,15 +209,63 @@ class TestGenericConstructor:
             GeneratorConfig(sed=1)
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    # -S keeps site from importing typing before pipecalc does; heapq is
-    # imported by the first max-min plan
+def _fresh(code: str) -> str:
+    """stdout of `code`, run by a fresh interpreter on the in-tree package;
+    -S keeps site from importing typing before pipecalc does."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    out = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, pipecalc, pipecalc.cli; print(sorted("
-         "{'dataclasses', 'heapq', 'inspect', 'typing'} & set(sys.modules)))"],
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         check=True,
     ).stdout
-    assert out == "[]\n"
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # heapq is imported by the first max-min plan, and the four pipecalc
+    # modules (random with harness) by the subcommands that run them
+    assert _fresh(
+        "import sys, pipecalc, pipecalc.cli; print(sorted("
+        "{'dataclasses', 'heapq', 'inspect', 'typing', 'random', 'pipecalc.characterize', "
+        "'pipecalc.falsepos', 'pipecalc.harness', 'pipecalc.planner'} & set(sys.modules)))"
+    ) == "[]\n"
+
+
+# every name the package exports, by the module that defines it
+EXPORTS = {
+    "adversarial": "InternalCheckError RatioReport defender_misses_bottleneck ratio_report",
+    "ceiling": "AuthoritySpec ConfigurationError UndefinedCeilingError ceiling "
+               "generalized_ceiling is_h_admissible tightness_witness",
+    "characterize": "CharacterizationVerdict MigrationDecomposition Outcome "
+                    "PerturbationClassification PreservationReport classify "
+                    "migration_decomposition preservation_report verify_characterizations",
+    "documents": "DocumentError PipelineDocument document_for_pipeline load_document "
+                 "parse_document serialize_document",
+    "falsepos": "ConstantPrecision DeclineVerdict DomainError FixedFractionModel "
+                "PlateauVerdict RationalDecayPrecision TablePrecision decline_check "
+                "plateau_check repaired_useful simple_useful",
+    "harness": "GeneratorConfig HarnessVerdict generate_instance structured_report "
+               "text_report verify_all",
+    "model": "AdmissibilityError BottleneckReport Multiplier Pipeline "
+             "PipelineValidationError ValidationReport bottleneck_report bottleneck_set "
+             "perturb perturbed_throughput throughput validate_pipeline",
+    "planner": "AllocationResult CostModel TiedBottleneckError maxmin_allocation "
+               "trivial_allocation",
+}
+
+
+def test_package_keeps_its_names():
+    moved = [f"{module}.{name}" for module, names in EXPORTS.items()
+             for name in names.split()
+             if getattr(pipecalc, name) is not getattr(
+                 importlib.import_module(f"pipecalc.{module}"), name)]
+    assert moved == []
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        pipecalc.nonesuch
+    # a module loaded on first access, and `ceiling` still the function once
+    # harness has imported the ceiling module
+    assert _fresh(
+        "import sys, pipecalc; harness = pipecalc.harness\n"
+        "import pipecalc.harness, pipecalc.ceiling\n"
+        "print(harness is sys.modules['pipecalc.harness'], "
+        "pipecalc.ceiling is sys.modules['pipecalc.ceiling'].ceiling)"
+    ) == "True True\n"
