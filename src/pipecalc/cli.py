@@ -34,7 +34,7 @@ from .ceiling import (
     generalized_ceiling,
     tightness_witness,
 )
-from .documents import DocumentError, _exact, _json, _text, load_document
+from .documents import DocumentError, _exact, _json, _read, _text, load_document
 from .model import ONE, _quoted, bottleneck_report, perturbed_throughput
 
 
@@ -232,12 +232,7 @@ _PRECISION_FAMILIES = {
 
 def _cmd_fp(args) -> int:
     from . import falsepos
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
-        raise DocumentError(f"cannot read model file: {exc}") from None
-    cfg = _json(text, "cannot read model file")
+    cfg = _json(_read(args.file, "cannot read model file"), "cannot read model file")
     if not isinstance(cfg, dict):
         raise DocumentError("model file root must be an object")
     raw_samples = cfg.get("samples", [])
@@ -428,6 +423,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # help meets a closed pipe here, inside main's try
+        super().exit(status, message)
+
 
 _EXPLAIN = {"action": "store_true", "help": "add a per-stage table: capacity, "
             "factor, perturbed value, and role before and after"}
@@ -497,12 +496,11 @@ def main(argv=None) -> int:
             args, unread = _command_parser(argv[0]).parse_known_args(argv[1:])
         if unread:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return status
+    except SystemExit as exc:  # help printed, or a usage error
+        return exc.code if isinstance(exc.code, int) else 1
     except ValueError as exc:  # every validation error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -258,10 +258,14 @@ def document_for_pipeline(pipeline: Pipeline, name: str = "") -> PipelineDocumen
     )
 
 
-def load_document(path) -> PipelineDocument:
+def _read(path, refusal: str) -> str:
+    """The text of file `path`; a refusal reads `refusal: reason`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
-        raise DocumentError(f"cannot read {path}: {exc}") from None
-    return parse_document(text)
+        raise DocumentError(f"{refusal}: {exc}") from None
+
+
+def load_document(path) -> PipelineDocument:
+    return parse_document(_read(path, f"cannot read {path}"))

@@ -9,7 +9,7 @@ incoming alert rate:
   * rate-dependent precision: the share of true positives is a function of
     the rate.  When that precision function is strictly decreasing above
     the investigation capacity, the useful rate genuinely declines there;
-    a constant precision collapses back to the plateau.
+    a constant precision is the fixed-fraction model, at 1 - fraction.
 
 These models are deliberately decoupled from the pipeline types; linking
 an alert rate to a pipeline stage is an interpretation made by callers,
@@ -56,11 +56,15 @@ class FixedFractionModel(Record):
 
 
 def simple_useful(lam: RationalInput, m: FixedFractionModel) -> Fraction:
-    """(1 - fraction) * min(rate, capacity), exactly."""
-    lam = as_fraction(lam)
-    if lam.numerator <= 0:
-        raise DomainError(f"rate {_shown(lam)} must be > 0")
-    return _simple_useful(lam, m)
+    """(1 - fraction) * min(rate, capacity), exactly: the repaired rate
+    under the constant precision 1 - fraction."""
+    return repaired_useful(lam, _precision(m), m.investigation_capacity)
+
+
+def _precision(m: FixedFractionModel) -> ConstantPrecision:
+    """The fixed-fraction model's constant precision 1 - fraction."""
+    f = m.false_positive_fraction
+    return ConstantPrecision(Fraction(f.denominator - f.numerator, f.denominator))
 
 
 def _cmp(x: Fraction, y: Fraction) -> int:
@@ -69,11 +73,11 @@ def _cmp(x: Fraction, y: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _simple_useful(lam: Fraction, m: FixedFractionModel) -> Fraction:
-    f, c = m.false_positive_fraction, m.investigation_capacity
-    x = lam if _cmp(lam, c) < 0 else c
-    return Fraction((f.denominator - f.numerator) * x.numerator,
-                    f.denominator * x.denominator)
+def _check_above(samples: list[Fraction], c_inv: Fraction) -> None:
+    low = [x for x in samples if _cmp(x, c_inv) <= 0]
+    if low:
+        raise DomainError("samples must exceed the investigation capacity; "
+                          f"got {_shown(low[:3])}")
 
 
 class PlateauVerdict(Record):
@@ -86,15 +90,13 @@ def plateau_check(m: FixedFractionModel, lambdas) -> PlateauVerdict:
     """Assert the post-saturation plateau: every sample rate strictly above
     the investigation capacity must map to exactly
     (1 - fraction) * capacity.  A failure is an implementation bug."""
+    c = m.investigation_capacity
     samples = [as_fraction(x) for x in lambdas]
-    low = [x for x in samples if _cmp(x, m.investigation_capacity) <= 0]
-    if low:
-        raise DomainError(
-            f"samples must exceed the investigation capacity; got {_shown(low[:3])}"
-        )
-    expected = (1 - m.false_positive_fraction) * m.investigation_capacity
+    _check_above(samples, c)
+    p = _precision(m)
+    expected = p.level * c
     # every sample exceeds a positive capacity, so each is in the domain
-    ok = all(_cmp(_simple_useful(x, m), expected) == 0 for x in samples)
+    ok = all(_cmp(_repaired_useful(x, p, c), expected) == 0 for x in samples)
     return PlateauVerdict(passed=ok, common_value=expected,
                           samples_checked=len(samples))
 
@@ -159,19 +161,16 @@ class TablePrecision(Record):
                 f"table precisions outside [0, 1]: {_shown(bad)}")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def span(self) -> tuple[Fraction, Fraction]:
-        return self.points[0][0], self.points[-1][0]
-
     def value(self, lam: Fraction) -> Fraction:
-        lo, hi = self.span
+        pts = self.points
+        lo, hi = pts[0][0], pts[-1][0]
         if _cmp(lam, lo) < 0 or _cmp(lam, hi) > 0:
             raise DomainError(f"rate {_shown(lam)} outside table span "
                               f"[{_shown(lo)}, {_shown(hi)}]")
-        for (l1, p1), (l2, p2) in zip(self.points, self.points[1:]):
-            if _cmp(lam, l2) <= 0:  # the first such l2: l1 <= lam already
-                return p1 + (p2 - p1) * (lam - l1) / (l2 - l1)
-        raise AssertionError("unreachable: span check passed")
+        # the first segment whose right end reaches lam: l1 <= lam already
+        (l1, p1), (l2, p2) = next(seg for seg in zip(pts, pts[1:])
+                                  if _cmp(lam, seg[1][0]) <= 0)
+        return p1 + (p2 - p1) * (lam - l1) / (l2 - l1)
 
     def strictly_decreasing_above(self, c_inv: Fraction) -> bool:
         """Consecutive breakpoint values must strictly decrease on the part
@@ -184,13 +183,9 @@ class TablePrecision(Record):
 PrecisionFunction = ConstantPrecision | RationalDecayPrecision | TablePrecision
 
 
-def _check_domain(lam: Fraction, c_inv: Fraction) -> None:
-    if lam.numerator <= 0:
+def _check_domain(c_inv: Fraction, lam: Fraction | None = None) -> None:
+    if lam is not None and lam.numerator <= 0:
         raise DomainError(f"rate {_shown(lam)} must be > 0")
-    _check_capacity(c_inv)
-
-
-def _check_capacity(c_inv: Fraction) -> None:
     if c_inv.numerator <= 0:
         raise DomainError(f"investigation capacity {_shown(c_inv)} must be > 0")
 
@@ -201,7 +196,7 @@ def repaired_useful(
     """p(rate) * min(rate, capacity), exactly, for every family."""
     lam = as_fraction(lam)
     c_inv = as_fraction(c_inv)
-    _check_domain(lam, c_inv)
+    _check_domain(c_inv, lam)
     return _repaired_useful(lam, p, c_inv)
 
 
@@ -227,11 +222,7 @@ def decline_check(
     samples = [as_fraction(x) for x in lambdas]
     if any(_cmp(x2, x1) <= 0 for x1, x2 in zip(samples, samples[1:])):
         raise DomainError("samples must be strictly increasing")
-    low = [x for x in samples if _cmp(x, c_inv) <= 0]
-    if low:
-        raise DomainError(
-            f"samples must exceed the investigation capacity; got {_shown(low[:3])}"
-        )
+    _check_above(samples, c_inv)
 
     # the decay family decreases everywhere; only a table can fail to
     if isinstance(p, TablePrecision) and not p.strictly_decreasing_above(c_inv):
@@ -240,12 +231,9 @@ def decline_check(
             "investigation capacity"
         )
 
-    if samples:
-        # the samples increase and exceed c_inv, so the first one is in the
-        # domain exactly when all are
-        _check_domain(samples[0], c_inv)
-    else:
-        _check_capacity(c_inv)
+    # the samples increase and exceed c_inv, so the first one is in the
+    # domain exactly when all are
+    _check_domain(c_inv, samples[0] if samples else None)
     values = tuple(_repaired_useful(x, p, c_inv) for x in samples)
     constant = isinstance(p, ConstantPrecision)
     if constant:

@@ -1,5 +1,10 @@
+from fractions import Fraction
+from types import MappingProxyType
+
+import pytest
 from hypothesis import given
 
+import pipecalc.characterize as ch
 from conftest import count_calls, pipeline_with_multiplier
 from pipecalc import (
     Multiplier,
@@ -113,6 +118,56 @@ class TestVerifyCharacterizations:
         assert not v.passed
         assert v.failures
         assert "capacities" in v.detail
+
+
+def _below_one(factor) -> Multiplier:
+    """A Multiplier holding a factor below 1, made past its constructor's check."""
+    m = object.__new__(Multiplier)
+    object.__setattr__(m, "factor", MappingProxyType(
+        {s: Fraction(f) for s, f in factor.items()}))
+    return m
+
+
+def _planted(index, **fields):
+    """`_analyse`, with `fields` replaced in the report at `index`."""
+    analyse = ch._analyse
+
+    def planted(p, a):
+        reports = list(analyse(p, a))
+        report = reports[index]
+        reports[index] = type(report)(
+            **{f: fields.get(f, getattr(report, f)) for f in report._fields})
+        return tuple(reports)
+    return planted
+
+
+_DECREASED = "throughput decreased under an admissible multiplier"
+_SETS = "migration decomposition sets are wrong"
+
+
+# each failure branch that holds only for an inadmissible multiplier or a
+# wrong report, made to fire on the worked example a=3, b=1, c=4
+@pytest.mark.parametrize("factor, planted, failures", [
+    (_below_one({"a": 1, "b": Fraction(1, 2), "c": 1}), None, (_DECREASED,)),
+    (_below_one({"a": 1, "b": 1, "c": Fraction(1, 8)}), None,
+     (_DECREASED, "unchanged-throughput equivalence violated")),
+    (_below_one({"a": 1, "b": 2, "c": Fraction(1, 8)}), None,
+     (_DECREASED, "strict-increase equivalence violated")),
+    (Multiplier({"a": 1, "b": 2, "c": 1}), _planted(0, unchanged_predicate=True),
+     ("classification predicates disagree with brute force",)),
+    (Multiplier({"a": 1, "b": 2, "c": 1}), _planted(0, outcome=ch.Outcome.UNCHANGED),
+     ("classification outcome disagrees with brute force",)),
+    (Multiplier({"a": 1, "b": 2, "c": 1}), _planted(2, departed=("b",)),
+     ("migration decomposition disagrees with set equality", _SETS)),
+    (Multiplier({"a": 1, "b": 5, "c": 1}), _planted(2, departed=("c",)), (_SETS,)),
+], ids=["decrease", "unchanged-equivalence", "strict-equivalence",
+        "predicates", "outcome", "migration-not-empty", "migration-sets"])
+def test_verify_fires_on_planted_defect(example_pipeline, monkeypatch,
+                                        factor, planted, failures):
+    if planted is not None:
+        assert verify_characterizations(example_pipeline, factor).passed
+        monkeypatch.setattr(ch, "_analyse", planted)
+    assert verify_characterizations(example_pipeline, factor).failures == failures
 
 
 def test_one_pass_per_perturbation(example_pipeline, tmp_path, monkeypatch,

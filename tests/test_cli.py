@@ -229,7 +229,7 @@ class TestFp:
         assert payload["decline"]["values"][0] == "10/3"
 
     @pytest.mark.parametrize("target, planted, section", [
-        ("_simple_useful", lambda lam, m: lam, "plateau"),
+        ("ConstantPrecision.value", lambda self, lam: 1 / lam, "plateau"),
         ("RationalDecayPrecision.value", lambda self, lam: Fraction(1, 2), "decline"),
     ], ids=["plateau", "decline"])
     def test_failing_check_exits_2(self, tmp_path, capsys, monkeypatch,
@@ -324,6 +324,69 @@ class TestFp:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "neither a 'fixed_fraction' nor a 'precision' section" in captured.err
+
+    @pytest.mark.parametrize("content", [None, b"\xff{}"], ids=["missing", "not-utf-8"])
+    def test_missing_file(self, tmp_path, capsys, content):
+        path = tmp_path / "nope.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["fp", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read model file: ")
+
+
+# one model file per precision family, each with a fixed-fraction section and
+# samples below, at and above the investigation capacity
+FP_MODELS = {
+    "constant": {
+        "fixed_fraction": {"false_positive_fraction": "1/3",
+                           "investigation_capacity": "10"},
+        "precision": {"family": "constant", "level": "2/3",
+                      "investigation_capacity": "10"},
+        "samples": ["4", "10", "12.5", "20", "40"],
+    },
+    "rational_decay": {
+        "fixed_fraction": {"false_positive_fraction": "0",
+                           "investigation_capacity": "7/2"},
+        "precision": {"family": "rational_decay", "coefficient": "1/10",
+                      "investigation_capacity": "7/2"},
+        "samples": ["1", "7/2", "5", "100", "5"],
+    },
+    "table": {
+        "fixed_fraction": {"false_positive_fraction": "9/10",
+                           "investigation_capacity": "10"},
+        "precision": {"family": "table", "investigation_capacity": "10",
+                      "points": [["5", "1"], ["10", "9/10"], ["20", "1/2"],
+                                 ["40", "1/4"]]},
+        "samples": ["5", "10", "15", "20", "40"],
+    },
+}
+
+# sha256 of stdout, stderr and exit code of `fp` on each model file
+FP_DIGESTS = {
+    ("constant", "text"):
+        "0f9f71d90baaa5eee23b6f8513c70bdeb1687ffebef0546e8c51178d644cb75c",
+    ("constant", "structured"):
+        "e22dbd9450bc7bacf2fa1f40d80c654608446cd0425d5ac0e5a5f9f703450ef6",
+    ("rational_decay", "text"):
+        "532dc4509e1737c4dd86ca137898e8ad687c8dcee0592c19badc57eb85e40afa",
+    ("rational_decay", "structured"):
+        "5569d3609864224a474ca4c3c26e77f36a3259eae35beac0c149f3695c7f7f6f",
+    ("table", "text"):
+        "0e60c572783d0ed8804196f75272148fc7d62e61a99c67abf3527c17140245d1",
+    ("table", "structured"):
+        "746b43a07073916f7872e6ff4222fd85a65f3788ae993b08a355c0d71cf8ec27",
+}
+
+
+@pytest.mark.parametrize("family, fmt", list(FP_DIGESTS),
+                         ids=[f"{family}-{fmt}" for family, fmt in FP_DIGESTS])
+def test_fp_output_is_unchanged(tmp_path, capsys, family, fmt):
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps(FP_MODELS[family]))
+    code = main(["fp", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(f"{captured.out}\0{captured.err}\0{code}\0".encode())
+    assert digest.hexdigest() == FP_DIGESTS[(family, fmt)]
 
 
 class TestPlan:
@@ -584,13 +647,15 @@ def test_dispatch_matches_whole_parser(doc_path, tmp_path, capsys, monkeypatch,
     assert capsys.readouterr() == got
 
 
-# BIG prints more than stdout's buffer holds, so a print raises; DOC and the
-# verify report print less, and raise only when main flushes stdout
+# BIG prints more than stdout's buffer holds, so a print raises; DOC, the
+# verify report and the help print less, and raise only when stdout is flushed
 @pytest.mark.parametrize("argv", [
     pytest.param(["analyze", "BIG"], id="text"),
     pytest.param(["analyze", "BIG", "--format", "structured"], id="structured"),
     pytest.param(["analyze", "DOC"], id="small"),
     pytest.param(["verify", "--count", "2"], id="verify-small"),
+    pytest.param(["-h"], id="help"),
+    pytest.param(["analyze", "-h"], id="analyze-help"),
 ])
 def test_closed_pipe_ends_quietly(tmp_path, doc_path, argv):
     path = tmp_path / "big.json"

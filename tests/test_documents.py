@@ -101,6 +101,8 @@ class TestParse:
         (lambda d: d["authority"].__setitem__("human_stages", "ab"),
          "human_stages"),
         (lambda d: d["pipeline"].__setitem__("name", ["x"]), "pipeline.name"),
+        (lambda d: d["pipeline"].__setitem__("stages", {"a": "3"}),
+         "pipeline.stages must be a list of stage records"),
     ])
     def test_schema_violations(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)

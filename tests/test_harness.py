@@ -267,8 +267,9 @@ def _zero(ratio):
      _FALSEPOS, ["fixed-fraction plateau violated"]),
     ("falsepos.RationalDecayPrecision.value", lambda self, lam: Fraction(1, 2),
      _FALSEPOS, ["rational-decay decline violated"]),
-    ("falsepos.ConstantPrecision.value", lambda self, lam: 1 / lam,
-     _FALSEPOS, ["constant precision did not stay constant"]),
+    ("falsepos.ConstantPrecision.value", lambda self, lam: 1 / lam,  # both checks read it
+     _FALSEPOS, ["fixed-fraction plateau violated",
+                 "constant precision did not stay constant"]),
     ("harness.perturbed_throughput",  # divides by each factor
      lambda p, m: min(c / m.factor[s] for s, c in p.capacity.items()),
      (check_monotonicity, _P, Multiplier.identity(_P), Multiplier({"a": 1, "b": 2, "c": 1})),
