@@ -13,12 +13,7 @@ package takes from them, are imported on first access (PEP 562), so that a
 command line loads only the modules its subcommand runs.
 """
 
-from .adversarial import (
-    InternalCheckError,
-    RatioReport,
-    defender_misses_bottleneck,
-    ratio_report,
-)
+from .adversarial import RatioReport, defender_misses_bottleneck, ratio_report
 from .ceiling import (
     AuthoritySpec,
     ConfigurationError,

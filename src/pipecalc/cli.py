@@ -11,11 +11,11 @@ Subcommands:
   verify    randomized verification harness over seeded instances, or
             one instance replayed with --replay SEED:INDEX
 
-Exit status: 0 success, 1 validation or usage error, 2 internal
-verification counterexample.  Structured output renders every rational as
-exact "num/den" (or integer) text, never as a decimal approximation; a
-result too long for CPython's int-to-text limit is an error (exit 1) that
-names the quantity.
+Exit status: 0 success, 1 validation or usage error, 2 a failed check
+(only `verify`, with or without --replay, and `fp` run checks).  Structured
+output renders every rational as exact "num/den" (or integer) text, never
+as a decimal approximation; a result too long for CPython's int-to-text
+limit is an error (exit 1) that names the quantity.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .adversarial import InternalCheckError, ratio_report
+from .adversarial import ratio_report
 from .ceiling import (
     ceiling as ceiling_value,
     generalized_ceiling,
@@ -504,9 +504,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # every validation error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalCheckError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:  # the reader closed stdout early (`| head`)
         # point stdout at devnull, so that the flush at exit cannot raise again
         with open(os.devnull, "w") as devnull:

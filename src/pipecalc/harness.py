@@ -30,7 +30,6 @@ from .ceiling import (
 )
 from .characterize import scan_min, verify_characterizations
 from .falsepos import (
-    ConstantPrecision,
     FixedFractionModel,
     RationalDecayPrecision,
     decline_check,
@@ -195,7 +194,7 @@ def check_adversarial(attacker: Pipeline, aA: Multiplier,
     """Attacker/defender ratios: `ratio_report` against the ratios and gains
     recomputed from raw capacities, and the missed-bottleneck corollary."""
     failures = []
-    rep = ratio_report(attacker, aA, defender, aD)  # raises if its sides disagree
+    rep = ratio_report(attacker, aA, defender, aD)
     ta = scan_min(attacker.capacity.values())
     td = scan_min(defender.capacity.values())
     ta_new = scan_min([aA.factor[s] * c for s, c in attacker.capacity.items()])
@@ -221,21 +220,22 @@ def check_adversarial(attacker: Pipeline, aA: Multiplier,
 
 def check_falsepos(model: FixedFractionModel,
                    samples: list[Fraction]) -> list[str]:
-    """Plateau of the fixed-fraction model on `samples`, decline under
-    rational-decay precision, and no decline under constant precision."""
+    """Plateau of the fixed-fraction model on `samples`, which is also the
+    constant-precision check (Proposition 6), and decline under rational-decay
+    precision across the distinct samples.  `samples` must be nondecreasing,
+    as `generate_fp_model` returns them, so that equal ones are adjacent and
+    drop out by their numerator/denominator pairs, without hashing."""
     failures = []
     if not plateau_check(model, samples).passed:
         failures.append("fixed-fraction plateau violated")
-    distinct = sorted(set(samples))
-    if len(distinct) >= 2:
-        if not decline_check(
-            _DECAY, model.investigation_capacity, distinct
-        ).passed:
-            failures.append("rational-decay decline violated")
-        const = ConstantPrecision(1 - model.false_positive_fraction)
-        verdict = decline_check(const, model.investigation_capacity, distinct)
-        if not verdict.passed or verdict.mode != "constant":
-            failures.append("constant precision did not stay constant")
+    distinct = samples[:1] + [
+        x for prev, x in zip(samples, samples[1:])
+        if x.numerator != prev.numerator or x.denominator != prev.denominator
+    ]
+    if len(distinct) >= 2 and not decline_check(
+        _DECAY, model.investigation_capacity, distinct
+    ).passed:
+        failures.append("rational-decay decline violated")
     return failures
 
 

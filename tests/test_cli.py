@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipecalc.harness as harness
-from pipecalc.adversarial import InternalCheckError
 from pipecalc.characterize import CharacterizationVerdict
 from pipecalc.cli import _factors, build_parser, main
 from pipecalc.documents import DocumentError, parse_document, serialize_document
@@ -53,6 +52,17 @@ class TestAnalyze:
         }))
         assert main(["analyze", str(bad)]) == 1
         assert "assumption 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("scenarios", [], "scenarios must map scenario names to factor maps"),
+        ("authority", {"human_stages": ["a"], "assist_bounds": {"a": "1/2"}},
+         "invalid authority: assist bounds below 1: ['a']"),
+    ], ids=["scenarios-list", "assist-bound-below-one"])
+    def test_malformed_section_exits_1(self, tmp_path, capsys, section, value, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(EXAMPLE_DOC), section: value}))
+        assert main(["analyze", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestPerturb:
@@ -184,15 +194,6 @@ class TestCompare:
         payload = json.loads(capsys.readouterr().out)
         assert payload["attacker_gain"] == payload["defender_gain"] == "2"
         assert payload["favours_attacker"] is False
-
-    def test_internal_check_failure_exits_2(self, doc_path, capsys, monkeypatch):
-        def raising(attacker, aA, defender, aD):
-            raise InternalCheckError("sides disagree")
-
-        monkeypatch.setattr("pipecalc.cli.ratio_report", raising)
-        assert main(["compare", doc_path, doc_path]) == 2
-        assert capsys.readouterr().err == (
-            "internal verification failure: sides disagree\n")
 
     def test_unreadable_defender_named(self, doc_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -460,13 +461,13 @@ class TestVerify:
 
     def test_raising_check_family_exits_2(self, capsys, monkeypatch):
         def raising(attacker, aA, defender, aD):
-            raise InternalCheckError("sides disagree")
+            raise RuntimeError("planted defect")
 
         monkeypatch.setattr(harness, "ratio_report", raising)
         assert main(["verify", "--seed", "5", "--count", "2"]) == 2
         out = capsys.readouterr().out
         assert ("[adversarial] seed=5 index=1: "
-                "InternalCheckError: sides disagree") in out
+                "RuntimeError: planted defect") in out
 
     @pytest.mark.parametrize("flag", ["--seed", "--count", "--max-stages"])
     @pytest.mark.parametrize("value, quoted", [

@@ -15,7 +15,7 @@ from pipecalc import (
     text_report,
     verify_all,
 )
-from pipecalc.adversarial import InternalCheckError, RatioReport, ratio_report
+from pipecalc.adversarial import RatioReport, ratio_report
 from pipecalc.characterize import CharacterizationVerdict
 from pipecalc.falsepos import FixedFractionModel, PlateauVerdict
 from pipecalc.harness import (
@@ -125,6 +125,16 @@ class TestGenerateFpModel:
             Fraction(7, 3), Fraction(1, 1000), Fraction(10**20 + 1, 10**19)))
         _assert_fp_models_match((9, i) for i in range(500))
 
+    def test_samples_are_nondecreasing_with_some_repeats(self):
+        # check_falsepos drops only adjacent repeats, so it relies on this
+        # order; and repeats occur, so verify runs that dedupe
+        cfg, repeats = GeneratorConfig(seed=20260823), 0
+        for i in range(2000):
+            samples = generate_fp_model(cfg, i)[1]
+            assert all(x <= y for x, y in zip(samples, samples[1:]))
+            repeats += len(set(samples)) < len(samples)
+        assert repeats
+
 
 class TestVerifyAll:
     def test_small_run_passes(self):
@@ -173,21 +183,21 @@ class TestVerifyAll:
 
     def test_raising_check_family_is_a_counterexample(self, monkeypatch):
         def raising(attacker, aA, defender, aD):
-            raise InternalCheckError("sides disagree")
+            raise RuntimeError("planted defect")
 
         monkeypatch.setattr(harness, "ratio_report", raising)
         verdict = verify_all(GeneratorConfig(seed=31, instance_count=3))
         assert verdict.checks["falsepos"] == 3  # later families still ran
         assert [(ce.check, ce.seed, ce.index, ce.message)
                 for ce in verdict.counterexamples] == [
-            ("adversarial", 31, i, "InternalCheckError: sides disagree")
+            ("adversarial", 31, i, "RuntimeError: planted defect")
             for i in range(3)
         ]
 
     def test_swapped_ratio_report_is_caught(self, monkeypatch):
-        # swapping attacker and defender keeps the report self-consistent, so
-        # ratio_report's own cross-check passes it; the recomputation from raw
-        # capacities must flag every instance whose report the swap changes
+        # swapping attacker and defender gives a self-consistent but wrong
+        # report; the recomputation from raw capacities must flag every
+        # instance whose report the swap changes
         real = harness.ratio_report
 
         def swapped(attacker, aA, defender, aD):
@@ -267,16 +277,20 @@ def _zero(ratio):
      _FALSEPOS, ["fixed-fraction plateau violated"]),
     ("falsepos.RationalDecayPrecision.value", lambda self, lam: Fraction(1, 2),
      _FALSEPOS, ["rational-decay decline violated"]),
-    ("falsepos.ConstantPrecision.value", lambda self, lam: 1 / lam,  # both checks read it
-     _FALSEPOS, ["fixed-fraction plateau violated",
-                 "constant precision did not stay constant"]),
+    # a repeat to drop (41/3), then a distinct sample with the same numerator
+    ("falsepos.RationalDecayPrecision.value", lambda self, lam: Fraction(1, 2),
+     (check_falsepos, FixedFractionModel(Fraction(1, 2), 10),
+      [Fraction(41, 3), Fraction(41, 3), Fraction(41, 2)]),
+     ["rational-decay decline violated"]),
+    ("falsepos.ConstantPrecision.value", lambda self, lam: 1 / lam,
+     _FALSEPOS, ["fixed-fraction plateau violated"]),
     ("harness.perturbed_throughput",  # divides by each factor
      lambda p, m: min(c / m.factor[s] for s, c in p.capacity.items()),
      (check_monotonicity, _P, Multiplier.identity(_P), Multiplier({"a": 1, "b": 2, "c": 1})),
      ["throughput not monotone under stagewise domination"]),
 ], ids=["pinned-refused", "witness-refused", "ceiling-too-low", "witness-at-ceiling",
         "zero-baseline", "zero-perturbed", "missed-bottleneck", "plateau",
-        "decay-flat", "constant-varies", "monotonicity"])
+        "decay-flat", "decay-flat-repeated-sample", "constant-varies", "monotonicity"])
 def test_check_fires_on_planted_defect(monkeypatch, target, planted, case, failures):
     check, *args = case
     assert check(*args) == []

@@ -232,7 +232,7 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
 
 # every name the package exports, by the module that defines it
 EXPORTS = {
-    "adversarial": "InternalCheckError RatioReport defender_misses_bottleneck ratio_report",
+    "adversarial": "RatioReport defender_misses_bottleneck ratio_report",
     "ceiling": "AuthoritySpec ConfigurationError UndefinedCeilingError ceiling "
                "generalized_ceiling is_h_admissible tightness_witness",
     "characterize": "CharacterizationVerdict MigrationDecomposition Outcome "

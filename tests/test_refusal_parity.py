@@ -6,13 +6,16 @@ fails; `AuthoritySpec` keeps a bound that is exactly a `Fraction` and
 converts anything else.  Each row below gives an input together with the
 exception type and message it is refused with, or the exact values built
 from it, so that an accept test missing any one of its conditions lets some
-row through that must be refused, or keeps a value unconverted.
+row through that must be refused, or keeps a value unconverted.  The last
+table does the same for the functions that take a pipeline together with a
+multiplier or cost model over other stages.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from pipecalc.adversarial import defender_misses_bottleneck
 from pipecalc.ceiling import AuthoritySpec, ConfigurationError
 from pipecalc.model import (
     ONE,
@@ -21,9 +24,10 @@ from pipecalc.model import (
     Pipeline,
     PipelineValidationError,
     _TooLong,
+    perturbed_throughput,
     validate_pipeline,
 )
-from pipecalc.planner import CostModel, CostModelError
+from pipecalc.planner import CostModel, CostModelError, trivial_allocation
 
 
 class _Tagged(Fraction):
@@ -198,6 +202,27 @@ BOUND_REFUSALS = [
          ConfigurationError, f"assist bounds below 1: {UNSHOWN}"),
 ]
 
+_P = Pipeline(("a", "b"), {"a": 1, "b": 2})
+_ONES = Multiplier({"a": 1, "b": 1})
+
+# each function refuses before reading any factor or cost, so that a stage
+# missing from one side, or extra on it, cannot pass unnoticed
+STAGE_SET_REFUSALS = [
+    _row("perturbed-extra-stage",
+         lambda: perturbed_throughput(_P, Multiplier({"a": 1, "b": 2, "c": 3})),
+         AdmissibilityError, "factors for unknown stages ['c']"),
+    _row("trivial-cost-domain",
+         lambda: trivial_allocation(_P, CostModel({"a": 1}, 1)), CostModelError,
+         "cost model domain must equal the stage set"),
+    _row("misses-attacker-side",
+         lambda: defender_misses_bottleneck(_P, Multiplier({"a": 1}), _P, _ONES),
+         AdmissibilityError, "attacker multiplier: missing factors for stages ['b']"),
+    _row("misses-defender-side",
+         lambda: defender_misses_bottleneck(
+             _P, _ONES, _P, Multiplier({"a": 1, "b": 1, "z": 2})),
+         AdmissibilityError, "defender multiplier: factors for unknown stages ['z']"),
+]
+
 
 def _named(prefix, rows):
     return [pytest.param(*row.values, id=f"{prefix}-{row.id}") for row in rows]
@@ -206,7 +231,8 @@ def _named(prefix, rows):
 @pytest.mark.parametrize(
     "build, error, message",
     _named("pipeline", PIPELINE_REFUSALS) + _named("multiplier", MULTIPLIER_REFUSALS)
-    + _named("cost-model", COST_MODEL_REFUSALS) + _named("bound", BOUND_REFUSALS))
+    + _named("cost-model", COST_MODEL_REFUSALS) + _named("bound", BOUND_REFUSALS)
+    + _named("stage-set", STAGE_SET_REFUSALS))
 def test_refusal(build, error, message):
     with pytest.raises(Exception) as info:
         build()
