@@ -360,10 +360,6 @@ class BottleneckReport(Record):
     bottlenecks: tuple[str, ...]
     non_bottlenecks: tuple[str, ...]
 
-    @property
-    def bottleneck_set(self) -> frozenset[str]:
-        return frozenset(self.bottlenecks)
-
 
 def _argmin(triples: Iterable[tuple[str, int, int]]) -> tuple[int, int, list[str]]:
     """Smallest n/d over nonempty (stage, n, d) triples with d > 0, as

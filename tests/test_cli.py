@@ -16,11 +16,17 @@ from pipecalc.documents import DocumentError, parse_document, serialize_document
 from test_documents import EXAMPLE_DOC
 
 
+def _file(tmp_path, name: str, content) -> str:
+    """Path of file `name` in tmp_path, holding `content`: text as given,
+    anything else as JSON."""
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
 @pytest.fixture
 def doc_path(tmp_path):
-    path = tmp_path / "pipeline.json"
-    path.write_text(EXAMPLE_DOC)
-    return str(path)
+    return _file(tmp_path, "pipeline.json", EXAMPLE_DOC)
 
 
 class TestAnalyze:
@@ -36,33 +42,47 @@ class TestAnalyze:
         assert payload["throughput"] == "1"
         assert payload["bottlenecks"] == ["b"]
 
-    @pytest.mark.parametrize("content", [None, b"\xff{}"], ids=["missing", "not-utf-8"])
-    def test_missing_file(self, tmp_path, capsys, content):
+    def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
-        if content is not None:
-            path.write_bytes(content)
         assert main(["analyze", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     def test_invalid_document(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
+        bad = _file(tmp_path, "bad.json", {
             "format_version": "1",
             "pipeline": {"name": "", "stages": [{"id": "a", "capacity": "0"}]},
-        }))
-        assert main(["analyze", str(bad)]) == 1
+        })
+        assert main(["analyze", bad]) == 1
         assert "assumption 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, value, message", [
-        ("scenarios", [], "scenarios must map scenario names to factor maps"),
-        ("authority", {"human_stages": ["a"], "assist_bounds": {"a": "1/2"}},
+    # one value of the worked example replaced: nothing on stdout, one named error
+    @pytest.mark.parametrize("path, value, message", [
+        (["format_version"], None, "unsupported format_version None (expected '1')"),
+        (["pipeline"], None, "missing pipeline.stages"),
+        (["pipeline", "stages"], {"a": "3"}, "pipeline.stages must be a list of stage records"),
+        (["pipeline", "stages"], [],
+         "invalid pipeline: assumption 1 violated: stage set is empty"),
+        (["pipeline", "stages", 0, "capacity"], "0", "invalid pipeline: assumption 2 "
+         "violated: capacity of stage 'a' is 0 (must be > 0)"),
+        (["pipeline", "stages", 0, "id"], ["x"], "stage id ['x'] must be text"),
+        (["authority", "human_stages"], "ab",
+         "authority.human_stages must be a list of stage ids"),
+        (["authority", "human_stages"], ["ghost"], "authority names unknown stages ['ghost']"),
+        (["authority", "assist_bounds"], ["2"],
+         "authority.assist_bounds must map stage ids to bounds"),
+        (["authority", "assist_bounds", "a"], "1/2",
          "invalid authority: assist bounds below 1: ['a']"),
-    ], ids=["scenarios-list", "assist-bound-below-one"])
-    def test_malformed_section_exits_1(self, tmp_path, capsys, section, value, message):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**json.loads(EXAMPLE_DOC), section: value}))
-        assert main(["analyze", str(bad)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        (["scenarios"], [], "scenarios must map scenario names to factor maps"),
+        (["scenarios", "boost"], {"ghost": "2"},
+         "scenario 'boost' names unknown stages ['ghost']"),
+    ], ids=["no-format-version", "no-pipeline", "stages-not-list", "no-stages", "zero-capacity",
+            "stage-id-not-text", "human-stages-text", "authority-unknown-stage",
+            "assist-bounds-list", "assist-bound-below-one", "scenarios-list",
+            "scenario-unknown-stage"])
+    def test_malformed_section_exits_1(self, tmp_path, capsys, path, value, message):
+        bad = _file(tmp_path, "bad.json", replaced(json.loads(EXAMPLE_DOC), path, value))
+        assert main(["analyze", bad]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestPerturb:
@@ -95,9 +115,8 @@ class TestCeiling:
     def test_requires_authority(self, tmp_path, capsys):
         doc = json.loads(EXAMPLE_DOC)
         del doc["authority"]
-        path = tmp_path / "no_auth.json"
-        path.write_text(json.dumps(doc))
-        assert main(["ceiling", str(path)]) == 1
+        path = _file(tmp_path, "no_auth.json", doc)
+        assert main(["ceiling", path]) == 1
 
 
 def _run(argv, capsys):
@@ -139,15 +158,14 @@ class TestExplain:
 
     def test_tied_bottleneck(self, tmp_path, capsys):
         # a and b tie at 1; raising a alone leaves b the only bottleneck
-        path = tmp_path / "tied.json"
-        path.write_text(json.dumps({
+        path = _file(tmp_path, "tied.json", {
             "format_version": "1",
             "pipeline": {"name": "tied", "stages": [
                 {"id": "a", "capacity": "1"}, {"id": "b", "capacity": "1"},
                 {"id": "c", "capacity": "3"}]},
             "scenarios": {"lift": {"a": "5/2"}},
-        }))
-        code, out = _run(["perturb", str(path), "--scenario", "lift", "--explain",
+        })
+        code, out = _run(["perturb", path, "--scenario", "lift", "--explain",
                           "--format", "structured"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -159,14 +177,13 @@ class TestExplain:
 
     def test_unprintable_product_is_named(self, tmp_path, capsys):
         # a's product 10**4300 has 4301 digits; the throughput is b's 1
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps({
+        path = _file(tmp_path, "big.json", {
             "format_version": "1",
             "pipeline": {"name": "big", "stages": [
                 {"id": "a", "capacity": "1e4299"}, {"id": "b", "capacity": "1"}]},
             "scenarios": {"up": {"a": "10"}},
-        }))
-        argv = ["perturb", str(path), "--scenario", "up"]
+        })
+        argv = ["perturb", path, "--scenario", "up"]
         assert main(argv) == 0
         capsys.readouterr()
         assert main([*argv, "--explain"]) == 1
@@ -220,9 +237,8 @@ DECAY_MODEL = {
 
 class TestFp:
     def test_plateau_and_decline(self, tmp_path, capsys):
-        path = tmp_path / "fp.json"
-        path.write_text(json.dumps(DECAY_MODEL))
-        assert main(["fp", str(path), "--format", "structured"]) == 0
+        path = _file(tmp_path, "fp.json", DECAY_MODEL)
+        assert main(["fp", path, "--format", "structured"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["plateau"]["passed"] is True
         assert payload["plateau"]["common_value"] == "5"
@@ -235,37 +251,33 @@ class TestFp:
     ], ids=["plateau", "decline"])
     def test_failing_check_exits_2(self, tmp_path, capsys, monkeypatch,
                                    target, planted, section):
-        path = tmp_path / "fp.json"
-        path.write_text(json.dumps(DECAY_MODEL))
+        path = _file(tmp_path, "fp.json", DECAY_MODEL)
         monkeypatch.setattr(f"pipecalc.falsepos.{target}", planted)
-        assert main(["fp", str(path), "--format", "structured"]) == 2
+        assert main(["fp", path, "--format", "structured"]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert [payload[s]["passed"] for s in ("plateau", "decline")] == [
             s != section for s in ("plateau", "decline")]
 
     def test_overlong_integer_refused(self, tmp_path, capsys):
-        path = tmp_path / "fp.json"
-        path.write_text('{"samples": [' + "9" * 5000 + "]}")
-        assert main(["fp", str(path)]) == 1
+        path = _file(tmp_path, "fp.json", '{"samples": [' + "9" * 5000 + "]}")
+        assert main(["fp", path]) == 1
         assert "cannot read model file" in capsys.readouterr().err
 
     # exponential decay was the one family without exact values; it is gone
     @pytest.mark.parametrize("family", ["mystery", "exponential_decay"])
     def test_unknown_family(self, tmp_path, capsys, family):
-        path = tmp_path / "fp.json"
-        path.write_text(json.dumps({
+        path = _file(tmp_path, "fp.json", {
             "precision": {"family": family, "coefficient": "1/10",
                           "investigation_capacity": "1"},
-        }))
-        assert main(["fp", str(path)]) == 1
+        })
+        assert main(["fp", path]) == 1
         assert capsys.readouterr().err == (
             f"error: unknown precision family {family!r}; "
             "have ['constant', 'rational_decay', 'table']\n")
 
     def test_long_unknown_family_is_cut(self, tmp_path, capsys):
-        path = tmp_path / "fp.json"
-        path.write_text(json.dumps({"precision": {"family": "f" * 100_000}}))
-        assert main(["fp", str(path)]) == 1
+        path = _file(tmp_path, "fp.json", {"precision": {"family": "f" * 100_000}})
+        assert main(["fp", path]) == 1
         assert capsys.readouterr().err == (
             f"error: unknown precision family '{'f' * 59}... (a str, cut); "
             "have ['constant', 'rational_decay', 'table']\n")
@@ -279,9 +291,8 @@ class TestFp:
          "false_positive_fraction"),
     ], ids=["float-sample", "float-parameter"])
     def test_floats_refused(self, tmp_path, capsys, model, name):
-        path = tmp_path / "fp.json"
-        path.write_text(json.dumps(model))
-        assert main(["fp", str(path)]) == 1
+        path = _file(tmp_path, "fp.json", model)
+        assert main(["fp", path]) == 1
         assert f"{name} must be exact text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, message", [
@@ -309,9 +320,8 @@ class TestFp:
             "root-not-object", "samples-not-list", "points-not-pairs",
             "nonpositive-capacity-no-samples"])
     def test_malformed_model_file(self, tmp_path, capsys, model, message):
-        path = tmp_path / "fp.json"
-        path.write_text(json.dumps(model))
-        assert main(["fp", str(path)]) == 1
+        path = _file(tmp_path, "fp.json", model)
+        assert main(["fp", path]) == 1
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
@@ -319,18 +329,14 @@ class TestFp:
     ], ids=["empty", "samples-only", "pipeline-document"])
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_nothing_to_check_refused(self, tmp_path, capsys, text, fmt):
-        path = tmp_path / "fp.json"
-        path.write_text(text)
-        assert main(["fp", str(path), "--format", fmt]) == 1
+        path = _file(tmp_path, "fp.json", text)
+        assert main(["fp", path, "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "neither a 'fixed_fraction' nor a 'precision' section" in captured.err
 
-    @pytest.mark.parametrize("content", [None, b"\xff{}"], ids=["missing", "not-utf-8"])
-    def test_missing_file(self, tmp_path, capsys, content):
+    def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
-        if content is not None:
-            path.write_bytes(content)
         assert main(["fp", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read model file: ")
 
@@ -382,9 +388,8 @@ FP_DIGESTS = {
 @pytest.mark.parametrize("family, fmt", list(FP_DIGESTS),
                          ids=[f"{family}-{fmt}" for family, fmt in FP_DIGESTS])
 def test_fp_output_is_unchanged(tmp_path, capsys, family, fmt):
-    path = tmp_path / "fp.json"
-    path.write_text(json.dumps(FP_MODELS[family]))
-    code = main(["fp", str(path), "--format", fmt])
+    path = _file(tmp_path, "fp.json", FP_MODELS[family])
+    code = main(["fp", path, "--format", fmt])
     captured = capsys.readouterr()
     digest = hashlib.sha256(f"{captured.out}\0{captured.err}\0{code}\0".encode())
     assert digest.hexdigest() == FP_DIGESTS[(family, fmt)]
@@ -526,16 +531,13 @@ class TestReplay:
         assert "  characterizations: pass" in out
 
     def test_passing_instance_shows_its_values(self, capsys):
-        assert main(["verify", "--replay", "5:3"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[1:7] == [f"  {name}: pass" for name in (
-            "characterizations", "monotonicity", "ceiling", "adversarial",
-            "falsepos")] + ["characterization detail:"]
-        p, a = harness.generate_instance(harness.GeneratorConfig(seed=5), 3)
-        assert out[-1] == "  capacities: " + ", ".join(
-            f"{s}={c}" for s, c in p.capacity.items())
-        assert out[-2] == "  factors: " + ", ".join(
-            f"{s}={f}" for s, f in a.factor.items())
+        # s3 and s4 tie as bottlenecks, and s4's factor 2 lifts it past s3
+        assert main(["verify", "--replay", "5:26"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [f"  {name}: pass" for name in (
+            "characterizations", "monotonicity", "ceiling", "adversarial", "falsepos")] + [
+            "characterization detail:", "  base_throughput: 2", "  new_throughput: 3",
+            "  bottlenecks_before: s3, s4", "  bottlenecks_after: s3",
+            "  factors: s1=1, s2=5, s3=3/2, s4=2", "  capacities: s1=5, s2=6, s3=2, s4=2"]
 
     def test_structured_replay(self, capsys):
         assert main(["verify", "--replay", "5:3", "--max-stages", "3",
@@ -636,12 +638,11 @@ def _whole_parser(argv) -> int:
 ])
 def test_dispatch_matches_whole_parser(doc_path, tmp_path, capsys, monkeypatch,
                                        argv, code):
-    model = tmp_path / "fp.json"
-    model.write_text(json.dumps(DECAY_MODEL))
+    model = _file(tmp_path, "fp.json", DECAY_MODEL)
     if argv is None:
         monkeypatch.setattr(sys, "argv", ["pipecalc", "analyze", doc_path])
     else:
-        argv = [{"DOC": doc_path, "FP": str(model)}.get(a, a) for a in argv]
+        argv = [{"DOC": doc_path, "FP": model}.get(a, a) for a in argv]
     assert main(argv) == code
     got = capsys.readouterr()
     assert _whole_parser(argv) == code
@@ -659,10 +660,9 @@ def test_dispatch_matches_whole_parser(doc_path, tmp_path, capsys, monkeypatch,
     pytest.param(["analyze", "-h"], id="analyze-help"),
 ])
 def test_closed_pipe_ends_quietly(tmp_path, doc_path, argv):
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({"format_version": "1", "pipeline": {"stages": [
-        {"id": f"s{i}", "capacity": "1"} for i in range(20_000)]}}))
-    argv = [{"BIG": str(path), "DOC": doc_path}.get(a, a) for a in argv]
+    path = _file(tmp_path, "big.json", {"format_version": "1", "pipeline": {"stages": [
+        {"id": f"s{i}", "capacity": "1"} for i in range(20_000)]}})
+    argv = [{"BIG": path, "DOC": doc_path}.get(a, a) for a in argv]
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("PYTHONUNBUFFERED", None)  # unbuffered, every print writes at once
@@ -716,15 +716,14 @@ class TestOverlongResults:
          "new throughput"),
     ], ids=["perturb-new"])
     def test_named_error(self, tmp_path, capsys, caps, boost, argv, quantity):
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps({
+        path = _file(tmp_path, "big.json", {
             "format_version": "1",
             "pipeline": {"name": "big", "stages": [
                 {"id": "a", "capacity": caps[0]},
                 {"id": "b", "capacity": caps[1]}]},
             "scenarios": {"boost": boost},
-        }))
-        assert main([argv[0], str(path), *argv[1:]]) == 1
+        })
+        assert main([argv[0], path, *argv[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {quantity} has too many digits" in captured.err
@@ -733,15 +732,14 @@ class TestOverlongResults:
         # b and c are raised together to t = (B + 2) / (P + Q), so b's factor
         # t * P has a numerator of about 4320 digits; a keeps factor 1
         p, q = 10**4299 + 1, 10**4299 - 1
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps({
+        path = _file(tmp_path, "big.json", {
             "format_version": "1",
             "pipeline": {"name": "big", "stages": [
                 {"id": "a", "capacity": "5"},
                 {"id": "b", "capacity": f"1/{p}"},
                 {"id": "c", "capacity": f"1/{q}"}]},
-        }))
-        assert main(["plan", str(path), "--budget", str(10**20)]) == 1
+        })
+        assert main(["plan", path, "--budget", str(10**20)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -752,15 +750,14 @@ class TestOverlongResults:
         # the trivial allocation raises a to the runner-up, factor 10**8598,
         # and spends 10**-4299 * (10**8598 - 1): both are unprintable, and
         # the factor is texted first, though text output never prints it
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps({
+        path = _file(tmp_path, "big.json", {
             "format_version": "1",
             "pipeline": {"name": "big", "stages": [
                 {"id": "a", "capacity": "1e-4299"},
                 {"id": "b", "capacity": "1e4299"},
                 {"id": "c", "capacity": "1e4299"}]},
-        }))
-        assert main(["plan", str(path), "--budget", "1e4299",
+        })
+        assert main(["plan", path, "--budget", "1e4299",
                      "--unit-cost", "1e-4299", "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -777,16 +774,14 @@ class TestOverlongResults:
     ], ids=["analyze-capacity", "plan-budget", "fp-investigation-capacity"])
     def test_refusal_quoting_overlong_value(self, tmp_path, capsys, capacity,
                                             argv, quantity):
-        doc = tmp_path / "doc.json"
-        doc.write_text(json.dumps({
+        doc = _file(tmp_path, "doc.json", {
             "format_version": "1",
             "pipeline": {"name": "", "stages": [
                 {"id": "a", "capacity": capacity}]},
-        }))
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps({"precision": {
+        })
+        model = _file(tmp_path, "model.json", {"precision": {
             "family": "rational_decay", "coefficient": "1/10",
-            "investigation_capacity": "-1e-4300"}}))
+            "investigation_capacity": "-1e-4300"}})
         argv = [a.format(doc=doc, model=model) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -800,12 +795,11 @@ class TestOverlongResults:
         "1e4300", "-1e-4300", "0." + "1" * 4300, "9" * 3000 + "." + "9" * 3000,
     ], ids=["1e4300", "-1e-4300", "0.-4300-ones", "3000-dot-3000-digits"])
     def test_unprintable_input_is_refused(self, tmp_path, capsys, text):
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps({
+        path = _file(tmp_path, "doc.json", {
             "format_version": "1",
             "pipeline": {"name": "", "stages": [{"id": "a", "capacity": text}]},
-        }))
-        assert main(["analyze", str(path)]) == 1
+        })
+        assert main(["analyze", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -815,9 +809,8 @@ class TestOverlongResults:
 
 @pytest.mark.parametrize("command", ["analyze", "fp"])
 def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    assert main([command, str(path)]) == 1
+    path = _file(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert main([command, path]) == 1
     err = capsys.readouterr().err
     assert "nesting is too deep" in err
     assert "Traceback" not in err

@@ -15,8 +15,8 @@ from pipecalc import (
     text_report,
     verify_all,
 )
-from pipecalc.adversarial import RatioReport, ratio_report
-from pipecalc.characterize import CharacterizationVerdict
+from pipecalc.adversarial import ratio_report
+from pipecalc.characterize import CharacterizationVerdict, _analyse, verify_characterizations
 from pipecalc.falsepos import FixedFractionModel, PlateauVerdict
 from pipecalc.harness import (
     CAPACITY_GRID,
@@ -147,6 +147,7 @@ class TestVerifyAll:
         assert verdict.passed
         assert verdict.checks == {}
         assert verdict.counterexamples == ()
+        assert text_report(verdict) == "verified 0 instances (seed 7)\nall checks passed\n"
 
     def test_structured_report_replays_identically(self):
         cfg = GeneratorConfig(seed=21, instance_count=50)
@@ -178,8 +179,12 @@ class TestVerifyAll:
             "message": "deliberately corrupted comparison"}
         assert "    replay: pipecalc verify --replay=99:4\n" in text_report(verdict)
         verdict = verify_all(GeneratorConfig(seed=99, instance_count=1, max_stages=3))
-        assert text_report(verdict).endswith(
-            "    replay: pipecalc verify --replay=99:0 --max-stages 3\n")
+        assert text_report(verdict) == "".join([
+            "verified 1 instances (seed 99)\n",
+            *(f"  {name}: 1 instances checked\n" for name in sorted(verdict.checks)),
+            "1 counterexample(s):\n",
+            "  [characterizations] seed=99 index=0: deliberately corrupted comparison\n",
+            "    replay: pipecalc verify --replay=99:0 --max-stages 3\n"])
 
     def test_raising_check_family_is_a_counterexample(self, monkeypatch):
         def raising(attacker, aA, defender, aD):
@@ -236,16 +241,29 @@ _CEILING = (check_ceiling, _P, Multiplier({"a": 1, "b": 5, "c": 1}), AuthoritySp
 _ADVERSARIAL = (check_adversarial, _P, Multiplier.identity(_P), _DEFENDER,
                 Multiplier.identity(_DEFENDER))
 _FALSEPOS = (check_falsepos, FixedFractionModel(Fraction(1, 2), 10), [20, 30])
+_CHARACTERIZATIONS = (lambda p, a: list(verify_characterizations(p, a).failures), _P,
+                      Multiplier.identity(_P))
 _UNEQUAL = ["ratio/gain equivalence violated on recomputation",
             "ratios must be strictly positive"]
 
 
+def _with(record, field, value):
+    """`record` with `field` set to `value`."""
+    return type(record)(**{f: value if f == field else getattr(record, f)
+                           for f in record._fields})
+
+
 def _zero(ratio):
     """ratio_report with `ratio` reported as 0."""
-    def planted(*sides):
-        report = ratio_report(*sides)
-        return RatioReport(**{f: Fraction(0) if f == ratio else getattr(report, f)
-                              for f in RatioReport._fields})
+    return lambda *sides: _with(ratio_report(*sides), ratio, Fraction(0))
+
+
+def _analysed(index, field, value):
+    """characterize._analyse with `field` of its report `index` set to `value`."""
+    def planted(p, a):
+        reports = list(_analyse(p, a))
+        reports[index] = _with(reports[index], field, value)
+        return tuple(reports)
     return planted
 
 
@@ -288,9 +306,15 @@ def _zero(ratio):
      lambda p, m: min(c / m.factor[s] for s, c in p.capacity.items()),
      (check_monotonicity, _P, Multiplier.identity(_P), Multiplier({"a": 1, "b": 2, "c": 1})),
      ["throughput not monotone under stagewise domination"]),
+    # b is the one bottleneck of _P, and the identity keeps it at factor 1
+    ("characterize._analyse", _analysed(0, "witness", "a"), _CHARACTERIZATIONS,
+     ["classification witness is not a factor-1 bottleneck"]),
+    ("characterize._analyse", _analysed(1, "preserved", False), _CHARACTERIZATIONS,
+     ["preservation report disagrees with brute force"]),
 ], ids=["pinned-refused", "witness-refused", "ceiling-too-low", "witness-at-ceiling",
         "zero-baseline", "zero-perturbed", "missed-bottleneck", "plateau",
-        "decay-flat", "decay-flat-repeated-sample", "constant-varies", "monotonicity"])
+        "decay-flat", "decay-flat-repeated-sample", "constant-varies", "monotonicity",
+        "witness-not-bottleneck", "preservation-misreported"])
 def test_check_fires_on_planted_defect(monkeypatch, target, planted, case, failures):
     check, *args = case
     assert check(*args) == []

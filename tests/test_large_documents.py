@@ -119,7 +119,8 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("run, fmt", list(DIGESTS), ids="-".join)
+@pytest.mark.parametrize("run, fmt", list(DIGESTS),
+                         ids=["-".join(key) for key in DIGESTS])
 def test_output_is_unchanged(documents, capsys, run, fmt):
     digest = hashlib.sha256()
     for argv in RUNS[run](*documents):

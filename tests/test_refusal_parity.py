@@ -16,7 +16,12 @@ from fractions import Fraction
 import pytest
 
 from pipecalc.adversarial import defender_misses_bottleneck
-from pipecalc.ceiling import AuthoritySpec, ConfigurationError
+from pipecalc.ceiling import (
+    AuthoritySpec,
+    ConfigurationError,
+    UndefinedCeilingError,
+    generalized_ceiling,
+)
 from pipecalc.model import (
     ONE,
     AdmissibilityError,
@@ -205,8 +210,9 @@ BOUND_REFUSALS = [
 _P = Pipeline(("a", "b"), {"a": 1, "b": 2})
 _ONES = Multiplier({"a": 1, "b": 1})
 
-# each function refuses before reading any factor or cost, so that a stage
-# missing from one side, or extra on it, cannot pass unnoticed
+# each function refuses before reading any factor, cost or bound, so that a
+# stage missing from one side, or extra on it, or no stage at all, cannot
+# pass unnoticed
 STAGE_SET_REFUSALS = [
     _row("perturbed-extra-stage",
          lambda: perturbed_throughput(_P, Multiplier({"a": 1, "b": 2, "c": 3})),
@@ -221,6 +227,9 @@ STAGE_SET_REFUSALS = [
          lambda: defender_misses_bottleneck(
              _P, _ONES, _P, Multiplier({"a": 1, "b": 1, "z": 2})),
          AdmissibilityError, "defender multiplier: factors for unknown stages ['z']"),
+    _row("generalized-no-pinned-stage",
+         lambda: generalized_ceiling(_P, AuthoritySpec((), {})), UndefinedCeilingError,
+         "pinned stage set is empty"),
 ]
 
 

@@ -2,7 +2,9 @@
 
 Each mutant is one relational operator swapped at one site (`<` and `<=`,
 `>` and `>=`, `==` and `!=`, `in` and `not in`, `is` and `is not` trade
-places), or one of the arithmetic defects in ARITHMETIC.  The checkout is
+places), one statement inside a function replaced by `pass` (an `if`,
+`raise`, call, loop, `try`, `with` or augmented assignment), or one of the
+arithmetic defects in ARITHMETIC.  The checkout is
 snapshotted once, so edits made during a run do not reach it; each mutant is
 written into a fresh copy of the snapshot, never into the working tree, and
 the tests run there under a fixed Hypothesis seed, with no pytest cache and
@@ -34,11 +36,13 @@ PACKAGE = Path("src", "pipecalc")
 IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__",
                                 ".perfbench_out")
 MODULES = ("model", "characterize", "ceiling", "planner", "adversarial",
-           "falsepos", "harness")
+           "falsepos", "harness", "documents", "cli")
 SWAP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
         ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
         ast.In: ("in", "not in"), ast.NotIn: ("not in", "in"),
         ast.Is: ("is", "is not"), ast.IsNot: ("is not", "is")}
+DELETE = {ast.If: "if", ast.Raise: "raise", ast.Expr: "call", ast.For: "for",
+          ast.While: "while", ast.Try: "try", ast.With: "with", ast.AugAssign: "augassign"}
 # (name, module, [(old text, new text), ...]): each old text occurs once
 ARITHMETIC = [
     ("argmin-mispaired-products", "model",
@@ -58,12 +62,18 @@ TIMEOUT = 300  # seconds per pytest run
 WORKERS = os.cpu_count() or 1
 
 
-def relational(root, module):
-    """(name, module, edits) for every comparison operator in `module`."""
+def read(root, module):
+    """The module's bytes, and the byte offset at which each line starts."""
     source = (root / PACKAGE / f"{module}.py").read_bytes()
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
+    return source, starts
+
+
+def relational(root, module):
+    """(name, module, edits) for every comparison operator in `module`."""
+    source, starts = read(root, module)
     mutants = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Compare):
@@ -82,6 +92,23 @@ def relational(root, module):
                             module, [(at, lo + match.end(), new)]))
             left = right
     return sorted(mutants, key=lambda m: m[2])
+
+
+def deletions(root, module):
+    """(name, module, edits) for every statement of a kind in DELETE inside a
+    function, each replaced by `pass`; a docstring is no call and stays."""
+    source, starts = read(root, module)
+    found = {}  # a statement of a nested function is walked more than once
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                if type(node) in DELETE and (type(node) is not ast.Expr
+                                             or isinstance(node.value, ast.Call)):
+                    found[node.lineno, node.col_offset] = node
+    return [(f"{module}.py:{line}:{col} {DELETE[type(node)]} -> pass", module,
+             [(starts[line - 1] + col,
+               starts[node.end_lineno - 1] + node.end_col_offset, "pass")])
+            for (line, col), node in sorted(found.items())]
 
 
 def arithmetic(root, name, module, edits):
@@ -133,7 +160,8 @@ def main(argv=None):
         parser.error(f"unknown modules: {sorted(set(args.modules) - set(MODULES))}")
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         snapshot = Path(shutil.copytree(ROOT, Path(tmp, "repo"), ignore=IGNORE))
-        mutants = [m for module in args.modules for m in relational(snapshot, module)]
+        mutants = [m for module in args.modules
+                   for m in relational(snapshot, module) + deletions(snapshot, module)]
         mutants += [arithmetic(snapshot, *a) for a in ARITHMETIC if a[1] in args.modules]
         status, failed = run(("unmutated", "model", []), snapshot, args)
         if status != "survived":
