@@ -4,9 +4,9 @@ If a nonempty set of stages H is pinned to factor 1 (human-authority
 stages), no admissible perturbation can push throughput past the smallest
 capacity in H.  The bound is tight: `tightness_witness` builds an explicit
 multiplier achieving it exactly, by raising every non-pinned stage far
-enough that none of them can be the minimum.  Both take their minima on
-integer pairs with `model._argmin`, as `throughput` does, and the witness's
-factor is an integer floor division.
+enough that none of them can be the minimum.  Both take their minima in
+one integer scan with `model._capacity_argmin`, as `throughput` does, and
+the witness's factor is an integer floor division.
 
 The assist-bound variant (each pinned stage allowed a factor up to a given
 bound) gives the ceiling min over H of bound * capacity, attained by the
@@ -110,11 +110,10 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
     """
     _require_nonempty(p, h)
     machine = [s for s in p.stages if s not in h.human_stages]
-    if not machine:
-        return Multiplier.identity(p)
     hn, hd, _ = _capacity_argmin(p, h.human_stages)
     mn, md, _ = _capacity_argmin(p, machine)
-    # ceil((hn/hd) / (mn/md)), all four positive
+    # N - 1 = ceil((hn/hd) / (mn/md)), all four positive; with no machine
+    # stage the scan gives mn/md = 1/0, so N = 1 and this is the identity
     n = Fraction(-(-hn * md // (hd * mn)) + 1)
     return Multiplier({s: ONE if s in h.human_stages else n for s in p.stages})
 

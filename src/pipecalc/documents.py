@@ -140,22 +140,27 @@ def parse_document(text: str) -> PipelineDocument:
     stage_records = pipe_raw["stages"]
     if not isinstance(stage_records, list):
         raise DocumentError("pipeline.stages must be a list of stage records")
-    stages = []
-    capacity = {}
-    for rec in stage_records:
-        if not isinstance(rec, dict) or "id" not in rec or "capacity" not in rec:
-            raise DocumentError(
-                f"stage record {_quoted(rec)} needs 'id' and 'capacity'")
-        sid = rec["id"]
-        if not isinstance(sid, str):
-            raise DocumentError(f"stage id {_quoted(sid)} must be text")
-        stages.append(sid)
-        capacity[sid] = _exact(rec["capacity"], "capacity of stage {}", sid)
-
+    # accept first: the loop below runs only to word a refusal
     try:
-        pipeline = Pipeline(stages, capacity)
-    except PipelineValidationError as exc:
-        raise DocumentError(f"invalid pipeline: {exc}") from None
+        stages = [rec["id"] for rec in stage_records]
+        pipeline = Pipeline(stages, dict(zip(stages, map(
+            as_fraction, [rec["capacity"] for rec in stage_records]))))
+    except (TypeError, KeyError, ValueError, ZeroDivisionError):
+        stages = []
+        capacity = {}
+        for rec in stage_records:
+            if not isinstance(rec, dict) or "id" not in rec or "capacity" not in rec:
+                raise DocumentError(
+                    f"stage record {_quoted(rec)} needs 'id' and 'capacity'") from None
+            sid = rec["id"]
+            if not isinstance(sid, str):
+                raise DocumentError(f"stage id {_quoted(sid)} must be text") from None
+            stages.append(sid)
+            capacity[sid] = _exact(rec["capacity"], "capacity of stage {}", sid)
+        try:
+            pipeline = Pipeline(stages, capacity)
+        except PipelineValidationError as exc:
+            raise DocumentError(f"invalid pipeline: {exc}") from None
     cap = pipeline.capacity
     memo: dict = {}  # factor and bound texts converted so far
 
@@ -193,14 +198,13 @@ def parse_document(text: str) -> PipelineDocument:
         if not isinstance(factors_raw, dict):
             raise DocumentError(
                 f"scenario {_quoted(scen_name)} must map stages to factors")
-        unknown = sorted(s for s in factors_raw if s not in cap)
-        if unknown:
+        if not factors_raw.keys() <= cap.keys():
+            unknown = sorted(s for s in factors_raw if s not in cap)
             raise DocumentError(f"scenario {_quoted(scen_name)} names "
                                 f"unknown stages {_quoted(unknown)}")
         factors = dict.fromkeys(pipeline.stages, ONE)
-        for s, v in factors_raw.items():
-            factors[s] = _exact_once(memo, v, "factor of stage {} in {}",
-                                     s, scen_name)
+        factors.update({s: _exact_once(memo, v, "factor of stage {} in {}", s, scen_name)
+                        for s, v in factors_raw.items()})
         try:
             scenarios[scen_name] = Multiplier(factors)
         except ValueError as exc:

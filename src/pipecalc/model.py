@@ -9,10 +9,10 @@ stagewise.
 All quantities are exact rationals (`fractions.Fraction`).  Floats are
 rejected at the boundary: the equality and tie structure the analysis relies
 on would not survive binary rounding.  Minima and ties are decided by
-integer cross-multiplication of numerators and denominators (`_argmin`),
-which is exact and builds no intermediate Fraction; every result returned is
-still a Fraction; `ceiling` and `tightness_witness` take their minima the
-same way.  `Pipeline`, `Multiplier` and `planner.CostModel` accept first:
+integer cross-multiplication of numerators and denominators, which is exact
+and builds no intermediate Fraction: `_capacity_argmin` (behind `ceiling`)
+and `perturbed_throughput` each scan the stages once; every result is still a
+Fraction.  `Pipeline`, `Multiplier` and `planner.CostModel` accept first:
 one cheap test passes valid input, and their value-by-value checks run only
 to word a refusal.  The constructors' sign checks (capacity > 0, factor
 >= 1, and their relatives in `ceiling` and `planner`) read the sign off the
@@ -381,10 +381,16 @@ def _argmin(triples: Iterable[tuple[str, int, int]]) -> tuple[int, int, list[str
 
 def _capacity_argmin(p: Pipeline,
                      stages: Iterable[str] | None = None) -> tuple[int, int, list[str]]:
-    """`_argmin` of the capacities of `stages`, by default all in stage order."""
-    cap = p.capacity
-    return _argmin([(s, (c := cap[s]).numerator, c.denominator)
-                    for s in (p.stages if stages is None else stages)])
+    """`_argmin` of the capacities of `stages` (default: all, in stage order)
+    in one scan, starting from 1/0 above every capacity: (1, 0, []) for none."""
+    cap, best_n, best_d, ties = p.capacity, 1, 0, []
+    for s in (p.stages if stages is None else stages):
+        lhs, rhs = (x := cap[s]).numerator * best_d, best_n * x.denominator
+        if lhs < rhs:
+            best_n, best_d, ties = x.numerator, x.denominator, [s]
+        elif lhs == rhs:
+            ties.append(s)
+    return best_n, best_d, ties
 
 
 def _products(p: Pipeline, fac: Mapping[str, Fraction],
@@ -431,7 +437,11 @@ def perturb(p: Pipeline, a: Multiplier) -> Pipeline:
 def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:
     """Throughput after perturbation, computed directly as
     min over stages of factor * capacity, without building the perturbed
-    pipeline."""
+    pipeline, in one scan of the unreduced integer pairs of products."""
     check_admissible(p, a)
-    n, d, _ = _argmin(_products(p, a.factor, p.stages))
-    return Fraction(n, d)
+    cap, fac, best_n, best_d = p.capacity, a.factor, 1, 0  # 1/0: above every product
+    for s in p.stages:
+        n, d = (x := cap[s]).numerator * (f := fac[s]).numerator, x.denominator * f.denominator
+        if n * best_d < best_n * d:
+            best_n, best_d = n, d
+    return Fraction(best_n, best_d)

@@ -6,8 +6,8 @@ how much to improve each stage.  Two allocators:
   * `trivial_allocation`: the textbook answer for a unique bottleneck —
     spend everything on it, capped where the next stage would take over as
     the minimum.  Refuses tied bottlenecks, since raising all but one of a
-    tie changes nothing.  One list of integer (stage, n, d) triples gives
-    the bottleneck and then, with it deleted, the runner-up.
+    tie changes nothing.  One integer scan of the capacities gives the
+    bottleneck, and a second one over the other stages the runner-up.
   * `maxmin_allocation`: exact max-min water filling.  For a target
     throughput t, the cheapest multiplier is factor(v) = max(1, t / c(v));
     its cost is continuous, increasing, and linear between consecutive
@@ -48,7 +48,7 @@ from .model import (
     Pipeline,
     RationalInput,
     Record,
-    _argmin,
+    _capacity_argmin,
     _quoted,
     _shown,
     as_fraction,
@@ -114,8 +114,7 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     job."""
     _check_domain(p, c)
     cap = p.capacity
-    triples = [(s, (x := cap[s]).numerator, x.denominator) for s in p.stages]
-    bottlenecks = _argmin(triples)[2]
+    bottlenecks = _capacity_argmin(p)[2]
     if len(bottlenecks) != 1:
         raise TiedBottleneckError(
             f"bottlenecks {sorted(bottlenecks)} are tied; improving all "
@@ -123,10 +122,10 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
         )
     b = bottlenecks[0]
     uncapped = 1 + c.budget / c.unit_cost[b]
-    del triples[p.stages.index(b)]  # the runner-up is the least of the rest
+    rest = [s for s in p.stages if s != b]  # the runner-up is the least of these
     factor_b = uncapped
-    if triples:
-        factor_b = min(uncapped, cap[_argmin(triples)[2][0]] / cap[b])
+    if rest:
+        factor_b = min(uncapped, cap[_capacity_argmin(p, rest)[2][0]] / cap[b])
     spent = c.unit_cost[b] * (factor_b - 1)
     factors = dict.fromkeys(p.stages, ONE)
     factors[b] = factor_b

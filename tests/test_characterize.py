@@ -172,8 +172,10 @@ def test_verify_fires_on_planted_defect(example_pipeline, monkeypatch,
 
 def test_one_pass_per_perturbation(example_pipeline, tmp_path, monkeypatch,
                                    capsys):
+    # one capacity scan and one product list, whose minimum _argmin takes;
+    # no second product scan through perturbed_throughput
     names = ("check_admissible", "_capacity_argmin", "_products")
-    counts = count_calls(monkeypatch, names)
+    counts = count_calls(monkeypatch, names + ("perturbed_throughput",))
     path = tmp_path / "pipeline.json"
     path.write_text(EXAMPLE_DOC)
     assert main(["perturb", str(path), "--scenario", "boost"]) == 0

@@ -422,7 +422,8 @@ class TestPlan:
         ("--budget", "abc", "budget"),
         ("--unit-cost", "1/0", "unit cost"),
         ("--unit-cost", "abc", "unit cost"),
-    ])
+    ], ids=["--budget-1/0-budget", "--budget-abc-budget",
+            "--unit-cost-1/0-unit-cost", "--unit-cost-abc-unit-cost"])
     def test_inexact_number_refused(self, doc_path, capsys, flag, value, name):
         argv = ["plan", doc_path, "--budget", "1", flag, value]
         assert main(argv) == 1
@@ -431,7 +432,8 @@ class TestPlan:
     # an exact value whose exponent is too large to expand: the refusal
     # names its size, not its form
     @pytest.mark.parametrize("flag, name", [("--budget", "budget"),
-                                            ("--unit-cost", "unit cost")])
+                                            ("--unit-cost", "unit cost")],
+                             ids=["--budget-budget", "--unit-cost-unit-cost"])
     def test_huge_exponent_refused(self, doc_path, capsys, flag, name):
         assert main(["plan", doc_path, "--budget", "1", flag, "1e5000"]) == 1
         assert capsys.readouterr().err == (
@@ -506,7 +508,8 @@ class TestReplay:
                             lambda p, h: harness.Multiplier.identity(p))
 
     @pytest.mark.parametrize("flags, suffix", [
-        ([], ""), (["--max-stages", "5"], " --max-stages 5")])
+        ([], ""), (["--max-stages", "5"], " --max-stages 5")],
+        ids=["no-flags", "max-stages-5"])
     def test_printed_command_reproduces_the_failure(self, capsys, monkeypatch,
                                                     flags, suffix):
         self._identity_witness(monkeypatch)

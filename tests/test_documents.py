@@ -144,8 +144,19 @@ class TestParse:
          "invalid pipeline: duplicate stage id 'a': stage ids form a set"),
         (lambda d: d["scenarios"].__setitem__("bad", {"c": "1/2", "b": "0"}),
          "scenario 'bad': factors below 1 are inadmissible: ['b', 'c']"),
+        # which of two faults in the stage records is refused
+        (lambda d: (d["pipeline"]["stages"][0].update(id=7),
+                    d["pipeline"]["stages"][2].update(capacity="abc")),
+         "stage id 7 must be text"),
+        (lambda d: d["pipeline"]["stages"][2].update(id="b"),
+         "invalid pipeline: duplicate stage id 'b': stage ids form a set"),
+        (lambda d: (d["pipeline"]["stages"][0].update(capacity=2.5),
+                    d["pipeline"]["stages"][1].pop("capacity")),
+         "capacity of stage 'a' must be exact text or an integer, got 2.5"),
     ], ids=["stage-record", "name", "format-version", "capacity-text",
-            "scenario-name", "duplicate-stage-id", "factors-below-one"])
+            "scenario-name", "duplicate-stage-id", "factors-below-one",
+            "id-before-later-capacity", "repeated-id-well-formed",
+            "float-capacity-before-later-missing"])
     def test_refusal_quotes_a_short_value_whole(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)
         mutate(raw)

@@ -49,6 +49,17 @@ ARITHMETIC = [
      [("lhs, rhs = n * best_d, best_n * d", "lhs, rhs = n * d, best_n * best_d")]),
     ("argmin-swapped-products", "model",
      [("lhs, rhs = n * best_d, best_n * d", "lhs, rhs = best_n * d, n * best_d")]),
+    # the same two defects in the one-scan minima of capacities and of products
+    ("capacity-scan-mispaired-products", "model",
+     [("(x := cap[s]).numerator * best_d, best_n * x.denominator",
+       "(x := cap[s]).numerator * x.denominator, best_n * best_d")]),
+    ("capacity-scan-swapped-products", "model",
+     [("(x := cap[s]).numerator * best_d, best_n * x.denominator",
+       "best_n * (x := cap[s]).denominator, x.numerator * best_d")]),
+    ("product-scan-mispaired-products", "model",
+     [("if n * best_d < best_n * d:", "if n * d < best_n * best_d:")]),
+    ("product-scan-swapped-products", "model",
+     [("if n * best_d < best_n * d:", "if best_n * d < n * best_d:")]),
     ("witness-without-plus-one", "ceiling", [("mn)) + 1)", "mn)))")]),
     ("witness-floor-division", "ceiling", [("-(-hn * md // (hd * mn))", "hn * md // (hd * mn)")]),
     ("unchanged-numerators-only", "characterize",
