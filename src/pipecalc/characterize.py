@@ -8,7 +8,8 @@ both sides:
     strictly above 1;
   * the bottleneck set is preserved iff all bottlenecks share one common
     factor and every perturbed bottleneck value stays strictly below every
-    perturbed non-bottleneck value.
+    perturbed non-bottleneck value; as the bottlenecks share one capacity,
+    the largest of their values is the largest of their factors times it.
 
 `classify`, `preservation_report` and `migration_decomposition` are
 projections of one pass over the (pipeline, multiplier) pair, `_analyse`,
@@ -88,9 +89,9 @@ def _analyse(p: Pipeline, a: Multiplier) -> tuple[
         PerturbationClassification, PreservationReport, MigrationDecomposition, list]:
     """The three reports on one perturbation, from a single pass: one
     admissibility check, one capacity minimum, and one list of perturbed
-    products with its minimum; that list, of unreduced (stage, n, d) in
-    stage order, comes fourth.  Minima, ties and the unchanged test are
-    decided on integer pairs."""
+    products, of unreduced (stage, n, d) in stage order, which comes fourth.
+    Minima, ties, the unchanged test and condition (ii) are decided on
+    integer pairs, the last from the bottlenecks' shared capacity."""
     check_admissible(p, a)
     base_n, base_d, bottlenecks = _capacity_argmin(p)
     products = _products(p, a.factor, p.stages)
@@ -111,16 +112,10 @@ def _analyse(p: Pipeline, a: Multiplier) -> tuple[
 
     factors = {fac[s] for s in bottlenecks}
     condition_i = len(factors) == 1
-    rest = [t for t in products if t[0] not in before]
-    if rest:
-        # the largest bottleneck product is the smallest of the negated
-        # ones; both sides stay unreduced integer pairs (n, d) with d > 0
-        neg_n, worst_d, _ = _argmin(
-            [(s, -n, d) for s, n, d in products if s in before])
-        best_n, best_d, _ = _argmin(rest)
-        condition_ii = -neg_n * best_d < best_n * worst_d
-    else:
-        condition_ii = True
+    top = max(factors)
+    # the rest's minimum is 1/0, above every product, if every stage is a bottleneck
+    best_n, best_d, _ = _argmin([t for t in products if t[0] not in before])
+    condition_ii = top.numerator * base_n * best_d < best_n * top.denominator * base_d
     preservation = PreservationReport(
         preserved=before == after,
         condition_i=condition_i,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 from .adversarial import defender_misses_bottleneck, ratio_report
 from .ceiling import (
@@ -146,9 +147,12 @@ class Counterexample(Record):
 class HarnessVerdict(Record):
     seed: int
     count: int
-    checks: dict  # check name -> number of instances it ran on
+    checks: MappingProxyType  # check name -> number of instances it ran on
     counterexamples: tuple[Counterexample, ...]
     max_stages: int = GeneratorConfig.max_stages
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", MappingProxyType(dict(self.checks)))
 
     @property
     def passed(self) -> bool:
@@ -177,10 +181,8 @@ def check_ceiling(p: Pipeline, a: Multiplier,
     achieved = perturbed_throughput(p, witness)
     if achieved != cap:
         failures.append(f"witness achieves {achieved}, ceiling is {cap}")
-    machine = [s for s in p.stages if s not in h.human_stages]
-    if machine and any(
-        witness.factor[s] * p.capacity[s] <= cap for s in machine
-    ):
+    if any(witness.factor[s] * p.capacity[s] <= cap
+           for s in p.stages if s not in h.human_stages):
         failures.append("witness leaves a non-pinned stage at or below the ceiling")
     # with all-ones assist bounds the generalised bound reduces to the ceiling
     ones = AuthoritySpec(h.human_stages, dict.fromkeys(h.human_stages, ONE))

@@ -362,15 +362,13 @@ class BottleneckReport(Record):
 
 
 def _argmin(triples: Iterable[tuple[str, int, int]]) -> tuple[int, int, list[str]]:
-    """Smallest n/d over nonempty (stage, n, d) triples with d > 0, as
-    (n, d, stages attaining it in input order).
+    """Smallest n/d over (stage, n, d) triples with d > 0, as (n, d, stages
+    attaining it in input order), from 1/0, above every value: (1, 0, []) for none.
 
     n1/d1 < n2/d2 exactly when n1*d2 < n2*d1, so every comparison is one
     pair of integer products and no Fraction is built or normalised."""
-    it = iter(triples)
-    stage, best_n, best_d = next(it)
-    ties = [stage]
-    for stage, n, d in it:
+    best_n, best_d, ties = 1, 0, []
+    for stage, n, d in triples:
         lhs, rhs = n * best_d, best_n * d
         if lhs < rhs:
             best_n, best_d, ties = n, d, [stage]

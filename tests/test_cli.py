@@ -570,7 +570,8 @@ class TestReplay:
         assert out[-1] == "characterization detail: none"
 
     @pytest.mark.parametrize("target", [
-        "5", "5:", ":3", "a:1", "1:-1", "1:2:3", "1.0:2", " 1:2", "١:2", ""])
+        "5", "5:", ":3", "a:1", "1:-1", "1:2:3", "1.0:2", " 1:2", "١:2", ""], ids=[
+        "5", "5:", ":3", "a:1", "1:-1", "1:2:3", "1.0:2", "leading-space", "١:2", "empty"])
     def test_malformed_target_exits_1(self, capsys, target):
         assert main(["verify", f"--replay={target}"]) == 1
         err = capsys.readouterr().err

@@ -87,7 +87,7 @@ class TestParse:
         (lambda d: d["pipeline"]["stages"].__setitem__(
             0, {"id": "a", "capacity": "0"}), "assumption 2"),
         (lambda d: d.__setitem__("scenarios", [{"b": "2"}]), "scenarios"),
-    ])
+    ], ids=["zero-capacity", "scenarios-not-an-object"])
     def test_schema_violations(self, mutate, message):
         raw = json.loads(EXAMPLE_DOC)
         mutate(raw)

@@ -225,7 +225,8 @@ def test_water_level_on_1000_stages_all_raised():
 
 # the heap stops after one pop: a level below the second capacity, and one
 # at it (the sweep's `<=` tie)
-@pytest.mark.parametrize("level", [Fraction(3, 2), Fraction(2)])
+@pytest.mark.parametrize("level", [Fraction(3, 2), Fraction(2)],
+                         ids=["below-second-capacity", "at-second-capacity"])
 def test_water_level_on_1000_stages_one_raised(level):
     stages = tuple(f"s{i}" for i in range(1000))
     # capacities 1..1000 out of stage order (7919 is prime to 1000)

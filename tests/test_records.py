@@ -33,7 +33,7 @@ from pipecalc import (
     verify_characterizations,
 )
 from pipecalc.characterize import _analyse
-from pipecalc.harness import Counterexample, GeneratorConfig, HarnessVerdict
+from pipecalc.harness import Counterexample, GeneratorConfig, HarnessVerdict, verify_all
 from pipecalc.model import Record
 
 P = Pipeline(("a", "b"), {"a": 3, "b": "1/2"})
@@ -92,8 +92,8 @@ REPRS = [
     (Counterexample(check="ceiling", seed=1, index=2, message="m"),
      "Counterexample(check='ceiling', seed=1, index=2, message='m')"),
     (HarnessVerdict(seed=1, count=2, checks={"ceiling": 2}, counterexamples=()),
-     "HarnessVerdict(seed=1, count=2, checks={'ceiling': 2}, counterexamples=(), "
-     "max_stages=8)"),
+     "HarnessVerdict(seed=1, count=2, checks=mappingproxy({'ceiling': 2}), "
+     "counterexamples=(), max_stages=8)"),
     (ratio_report(P, A, P, Multiplier.identity(P)),
      "RatioReport(baseline_ratio=Fraction(1, 1), perturbed_ratio=Fraction(2, 1), "
      "attacker_gain=Fraction(2, 1), defender_gain=Fraction(1, 1), "
@@ -156,6 +156,11 @@ def test_equality_and_hash_follow_the_field_tuple(value):
         assert hash(value) == expected
 
 
+def test_a_mapping_field_refuses_item_assignment():
+    with pytest.raises(TypeError):
+        verify_all(GeneratorConfig(seed=1, instance_count=2)).checks["ceiling"] = 99
+
+
 def test_a_differing_field_breaks_equality():
     assert GeneratorConfig(seed=1) != GeneratorConfig(seed=2)
     assert P != Pipeline(("a", "b"), {"a": 3, "b": 1})
@@ -184,7 +189,8 @@ class TestGenericConstructor:
         assert fields(cfg) == (0, 10_000, 8)
         assert GeneratorConfig(5, max_stages=3) == GeneratorConfig(5, 10_000, 3)
 
-    @pytest.mark.parametrize("kwargs", [{"instance_count": -1}, {"max_stages": 0}])
+    @pytest.mark.parametrize("kwargs", [{"instance_count": -1}, {"max_stages": 0}],
+                             ids=["negative-instance-count", "zero-max-stages"])
     def test_post_init_still_validates(self, kwargs):
         with pytest.raises(ValueError):
             GeneratorConfig(**kwargs)

@@ -64,6 +64,13 @@ ARITHMETIC = [
     ("witness-floor-division", "ceiling", [("-(-hn * md // (hd * mn))", "hn * md // (hd * mn)")]),
     ("unchanged-numerators-only", "characterize",
      [("unchanged = new_n * base_d == base_n * new_d", "unchanged = new_n == base_n")]),
+    # condition (ii): the largest bottleneck product against the rest's minimum
+    ("condition-ii-mispaired-products", "characterize",
+     [("top.numerator * base_n * best_d < best_n * top.denominator * base_d",
+       "top.numerator * base_n * top.denominator * base_d < best_n * best_d")]),
+    ("condition-ii-swapped-products", "characterize",
+     [("top.numerator * base_n * best_d < best_n * top.denominator * base_d",
+       "best_n * top.denominator * base_d < top.numerator * base_n * best_d")]),
     ("heap-key-without-capacity-tie-break", "planner",
      [("x.denominator, x, i, st)", "x.denominator, i, x, st)"),
       ("_, x, _, stage = heapq", "_, _, x, stage = heapq"),
