@@ -59,14 +59,14 @@ def ratio_report(attacker: Pipeline, aA: Multiplier,
     gain_a = ta_new / ta
     gain_d = td_new / td
 
+    (pn, pd), (bn, bd) = perturbed.as_integer_ratio(), baseline.as_integer_ratio()
     return RatioReport(
         baseline_ratio=baseline,
         perturbed_ratio=perturbed,
         attacker_gain=gain_a,
         defender_gain=gain_d,
         # perturbed > baseline; by Theorem 4 the same as gain_a > gain_d
-        favours_attacker=(perturbed.numerator * baseline.denominator
-                          > baseline.numerator * perturbed.denominator),
+        favours_attacker=pn * bd > bn * pd,
     )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from types import MappingProxyType
 
 from .model import (
     Multiplier,
@@ -151,7 +152,11 @@ class CharacterizationVerdict(Record):
 
     passed: bool
     failures: tuple[str, ...]
-    detail: dict
+    detail: MappingProxyType
+
+    def __post_init__(self):  # read-only, and so are the maps inside it
+        object.__setattr__(self, "detail", MappingProxyType(
+            {k: MappingProxyType(dict(v)) if type(v) is dict else v for k, v in self.detail.items()}))
 
 
 def scan_min(values) -> Fraction:
@@ -223,8 +228,8 @@ def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerd
     detail = {
         "base_throughput": base,
         "new_throughput": new,
-        "bottlenecks_before": sorted(before),
-        "bottlenecks_after": sorted(after),
+        "bottlenecks_before": tuple(sorted(before)),
+        "bottlenecks_after": tuple(sorted(after)),
         "factors": {s: a.factor[s] for s in p.stages},
         "capacities": {s: p.capacity[s] for s in p.stages},
     }

@@ -396,8 +396,8 @@ def _replay(args) -> int:
     except Exception:  # verify_instance has already recorded it as a failure
         detail = {}
     # rationals as exact text; the bottleneck lists are stage ids already
-    detail = {key: {s: str(x) for s, x in value.items()} if isinstance(value, dict)
-              else value if isinstance(value, list) else str(value)
+    detail = {key: {s: str(x) for s, x in value.items()} if hasattr(value, "items")
+              else value if isinstance(value, tuple) else str(value)
               for key, value in detail.items()}
     passed = not any(results.values())
     lines = [f"replay of seed={seed} index={index} (max stages {args.max_stages})"]
@@ -409,7 +409,7 @@ def _replay(args) -> int:
     for key, value in detail.items():
         if isinstance(value, dict):
             value = ", ".join(f"{s}={x}" for s, x in value.items())
-        elif isinstance(value, list):
+        elif isinstance(value, tuple):
             value = ", ".join(value)
         lines.append(f"  {key}: {value}")
     _emit(args, {"seed": seed, "index": index, "max_stages": args.max_stages,

@@ -16,8 +16,9 @@ an alert rate to a pipeline stage is an interpretation made by callers,
 never by this module.
 
 Every family evaluates exactly in rational arithmetic: each value these
-models compute is a Fraction.  Every comparison they make is decided on
-integer numerator/denominator pairs (`_cmp`), building no Fraction.
+models return is a normalised Fraction.  Every comparison is decided on
+integer pairs read with `as_integer_ratio()` (`_cmp`), and the repaired rate
+is an unreduced pair (`_repaired_pair`), normalised only where returned.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def _precision(m: FixedFractionModel) -> ConstantPrecision:
 
 def _cmp(x: Fraction, y: Fraction) -> int:
     """Sign of x - y (-1, 0 or 1) from one pair of integer cross-products."""
-    lhs, rhs = x.numerator * y.denominator, y.numerator * x.denominator
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    lhs, rhs = xn * yd, yn * xd
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -94,10 +96,11 @@ def plateau_check(m: FixedFractionModel, lambdas) -> PlateauVerdict:
     samples = [as_fraction(x) for x in lambdas]
     _check_above(samples, c)
     p = _precision(m)
-    expected = p.level * c
+    (pn, pd), (cn, cd) = p.level.as_integer_ratio(), c.as_integer_ratio()
+    en, ed = pn * cn, pd * cd
     # every sample exceeds a positive capacity, so each is in the domain
-    ok = all(_cmp(_repaired_useful(x, p, c), expected) == 0 for x in samples)
-    return PlateauVerdict(passed=ok, common_value=expected,
+    ok = all(n * ed == en * d for n, d in [_repaired_pair(x, p, c) for x in samples])
+    return PlateauVerdict(passed=ok, common_value=Fraction(en, ed),
                           samples_checked=len(samples))
 
 
@@ -197,13 +200,14 @@ def repaired_useful(
     lam = as_fraction(lam)
     c_inv = as_fraction(c_inv)
     _check_domain(c_inv, lam)
-    return _repaired_useful(lam, p, c_inv)
+    return Fraction(*_repaired_pair(lam, p, c_inv))
 
 
-def _repaired_useful(lam: Fraction, p: PrecisionFunction, c_inv: Fraction):
-    x = lam if _cmp(lam, c_inv) < 0 else c_inv
-    v = p.value(lam)
-    return Fraction(v.numerator * x.numerator, v.denominator * x.denominator)
+def _repaired_pair(lam: Fraction, p: PrecisionFunction, c_inv: Fraction) -> tuple[int, int]:
+    """p(rate) * min(rate, capacity) as an unreduced integer pair (n, d), d > 0."""
+    (ln, ld), (cn, cd) = lam.as_integer_ratio(), c_inv.as_integer_ratio()
+    vn, vd = p.value(lam).as_integer_ratio()
+    return (vn * ln, vd * ld) if ln * cd < cn * ld else (vn * cn, vd * cd)
 
 
 class DeclineVerdict(Record):
@@ -222,7 +226,8 @@ def decline_check(
     samples = [as_fraction(x) for x in lambdas]
     if any(_cmp(x2, x1) <= 0 for x1, x2 in zip(samples, samples[1:])):
         raise DomainError("samples must be strictly increasing")
-    _check_above(samples, c_inv)
+    if samples and _cmp(samples[0], c_inv) <= 0:  # accept first: the least one
+        _check_above(samples, c_inv)
 
     # the decay family decreases everywhere; only a table can fail to
     if isinstance(p, TablePrecision) and not p.strictly_decreasing_above(c_inv):
@@ -234,11 +239,11 @@ def decline_check(
     # the samples increase and exceed c_inv, so the first one is in the
     # domain exactly when all are
     _check_domain(c_inv, samples[0] if samples else None)
-    values = tuple(_repaired_useful(x, p, c_inv) for x in samples)
+    pairs = [_repaired_pair(x, p, c_inv) for x in samples]
+    values = tuple(Fraction(n, d) for n, d in pairs)
     constant = isinstance(p, ConstantPrecision)
-    if constant:
-        ok = all(_cmp(v, values[0]) == 0 for v in values)
-    else:
-        ok = all(_cmp(v1, v2) > 0 for v1, v2 in zip(values, values[1:]))
+    # step by step: equal steps make every value equal the first
+    ok = all(n1 * d2 == n2 * d1 if constant else n1 * d2 > n2 * d1
+             for (n1, d1), (n2, d2) in zip(pairs, pairs[1:]))
     mode = "constant" if constant else "strict_decline"
     return DeclineVerdict(passed=ok, mode=mode, values=values)

@@ -209,7 +209,7 @@ def check_adversarial(attacker: Pipeline, aA: Multiplier,
                 rep.defender_gain, rep.favours_attacker)
     if reported != recomputed or by_ratio != (gain_a > gain_d):
         failures.append("ratio/gain equivalence violated on recomputation")
-    if rep.baseline_ratio <= 0 or rep.perturbed_ratio <= 0:
+    if rep.baseline_ratio.numerator <= 0 or rep.perturbed_ratio.numerator <= 0:
         failures.append("ratios must be strictly positive")
     if (defender_misses_bottleneck(attacker, aA, defender, aD)
             and not rep.favours_attacker):
@@ -232,7 +232,7 @@ def check_falsepos(model: FixedFractionModel,
         failures.append("fixed-fraction plateau violated")
     distinct = samples[:1] + [
         x for prev, x in zip(samples, samples[1:])
-        if x.numerator != prev.numerator or x.denominator != prev.denominator
+        if x.as_integer_ratio() != prev.as_integer_ratio()
     ]
     if len(distinct) >= 2 and not decline_check(
         _DECAY, model.investigation_capacity, distinct

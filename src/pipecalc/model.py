@@ -9,12 +9,12 @@ stagewise.
 All quantities are exact rationals (`fractions.Fraction`).  Floats are
 rejected at the boundary: the equality and tie structure the analysis relies
 on would not survive binary rounding.  Minima and ties are decided by
-integer cross-multiplication of numerators and denominators, which is exact
-and builds no intermediate Fraction: `_capacity_argmin` (behind `ceiling`)
-and `perturbed_throughput` each scan the stages once; every result is still a
-Fraction.  `Pipeline`, `Multiplier` and `planner.CostModel` accept first:
-one cheap test passes valid input, and their value-by-value checks run only
-to word a refusal.  The constructors' sign checks (capacity > 0, factor
+integer cross-multiplication of each value's `as_integer_ratio()`, which is
+exact and builds no intermediate Fraction: `_capacity_argmin` (behind
+`ceiling`) and `perturbed_throughput` each scan the stages once; every result
+is still a Fraction.  `Pipeline`, `Multiplier` and `planner.CostModel` accept
+first: one cheap test passes valid input, and their value-by-value checks run
+only to word a refusal.  The constructors' sign checks (capacity > 0, factor
 >= 1, and their relatives in `ceiling` and `planner`) read the sign off the
 normalised numerator and denominator, and `characterize` decides whether
 throughput changed, and preservation's separation test, on unreduced integer
@@ -215,9 +215,10 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        # a mappingproxy cannot be pickled; every constructor takes a dict
-        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v
-                                 for v in self._values())
+        # a mappingproxy cannot be pickled, even nested; every constructor takes dicts
+        return type(self), tuple(
+            {k: dict(x) if type(x) is MappingProxyType else x for k, x in v.items()}
+            if type(v) is MappingProxyType else v for v in self._values())
 
 
 class ValidationReport(Record):
@@ -383,9 +384,10 @@ def _capacity_argmin(p: Pipeline,
     in one scan, starting from 1/0 above every capacity: (1, 0, []) for none."""
     cap, best_n, best_d, ties = p.capacity, 1, 0, []
     for s in (p.stages if stages is None else stages):
-        lhs, rhs = (x := cap[s]).numerator * best_d, best_n * x.denominator
+        n, d = cap[s].as_integer_ratio()
+        lhs, rhs = n * best_d, best_n * d
         if lhs < rhs:
-            best_n, best_d, ties = x.numerator, x.denominator, [s]
+            best_n, best_d, ties = n, d, [s]
         elif lhs == rhs:
             ties.append(s)
     return best_n, best_d, ties
@@ -395,12 +397,11 @@ def _products(p: Pipeline, fac: Mapping[str, Fraction],
               stages: Iterable[str]) -> list[tuple[str, int, int]]:
     """(stage, n, d) with n/d = fac[stage] * capacity, as the unreduced
     integer pair of products, for each of `stages` in the order given."""
-    cap = p.capacity
-    return [
-        (s, (c := cap[s]).numerator * (f := fac[s]).numerator,
-         c.denominator * f.denominator)
-        for s in stages
-    ]
+    cap, products = p.capacity, []
+    for s in stages:
+        (cn, cd), (fn, fd) = cap[s].as_integer_ratio(), fac[s].as_integer_ratio()
+        products.append((s, cn * fn, cd * fd))
+    return products
 
 
 def throughput(p: Pipeline) -> Fraction:
@@ -439,7 +440,8 @@ def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:
     check_admissible(p, a)
     cap, fac, best_n, best_d = p.capacity, a.factor, 1, 0  # 1/0: above every product
     for s in p.stages:
-        n, d = (x := cap[s]).numerator * (f := fac[s]).numerator, x.denominator * f.denominator
+        (cn, cd), (fn, fd) = cap[s].as_integer_ratio(), fac[s].as_integer_ratio()
+        n, d = cn * fn, cd * fd
         if n * best_d < best_n * d:
             best_n, best_d = n, d
     return Fraction(best_n, best_d)

@@ -23,14 +23,14 @@ pairs: the raised prefix's cost sum U = sum u and weight sum W = sum u/c
 (with the budget B) are held unreduced over one running denominator, each
 test of the target (B + U)/W against the next capacity is one integer
 cross-multiplication, and the target is normalised once, after the sweep.
-Each raised factor is then one Fraction t/c, and the spend is t*W - U, the
-per-stage sum of u * (t/c - 1) with t factored out.  No factor needs a clamp
-at 1: the first target is c_1 * (1 + B/u_1), and each later one lies between
-the previous target, which passed the new capacity, and that capacity, so t
-is at least every raised capacity.  Every later stage already has capacity at
-least t, keeps factor 1 and adds nothing to the spend.  So t is the
-throughput reached, and both allocators return the level they built; the
-tests and perfbench/oracle.py recompute it from the factors.
+Each raised factor is t/c by cross-cancelling division, and the spend is
+t*W - U, the per-stage sum of u * (t/c - 1) with t factored out.  No factor
+needs a clamp at 1: the first target is c_1 * (1 + B/u_1), and each later one
+lies between the previous target, which passed the new capacity, and that
+capacity, so t is at least every raised capacity.  Every later stage already
+has capacity at least t, keeps factor 1 and adds nothing to the spend.  So t
+is the throughput reached, and both allocators return the level they built;
+the tests and perfbench/oracle.py recompute it from the factors.
 
 Cost linear in (factor - 1) is a modelling choice; the max-min sweep's
 closed form for each segment relies on it.
@@ -179,10 +179,10 @@ def maxmin_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     # the target is at least every raised capacity (see the module
     # docstring), so each raised factor is t/c with no clamp at 1
     target = Fraction(s, w)
-    t_n, t_d = target.numerator, target.denominator
+    t_n, t_d = target.as_integer_ratio()
     factors = dict.fromkeys(p.stages, ONE)
     for stage, x in raised:
-        factors[stage] = Fraction(t_n * x.denominator, t_d * x.numerator)
+        factors[stage] = target / x
     return AllocationResult(
         multiplier=Multiplier(factors),
         achieved_throughput=target,

@@ -1,5 +1,6 @@
-"""Every demo script runs standalone against the in-tree package, and every
-name the benchmark's tracer wraps still exists."""
+"""Every demo script runs standalone against the in-tree package, every
+name the benchmark's tracer wraps still exists, and every arithmetic mutant
+of the kill matrix still finds its text."""
 
 import importlib
 import importlib.util
@@ -22,17 +23,30 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_names_resolve(monkeypatch):
     # the benchmark's tracer rebinds these names by lookup, so a rename or a
     # deletion must fail here and not only in a traced benchmark run
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(ROOT / "perfbench" / "tracer.py")
     names = [f"{m}.{f}" for m, funcs in tracer.SPANNED.items() for f in funcs]
     for name in names + list(tracer.COUNTED):
         module, attr, *method = name.split(".")
         value = getattr(importlib.import_module(f"pipecalc.{module}"), attr)
         assert callable(value), name
         assert all(f"__{m}__" in vars(value) for m in method), name
+
+
+def test_arithmetic_mutants_resolve(monkeypatch):
+    # each entry quotes library text that must occur exactly once; an edit to
+    # that text must fail here and not only when the matrix is next run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    mutants = _load(ROOT / "tools" / "mutants.py")
+    for entry in mutants.ARITHMETIC:
+        mutants.arithmetic(ROOT, *entry)  # asserts that each quoted text is unique

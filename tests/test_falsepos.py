@@ -226,7 +226,7 @@ def test_family_matches_fraction_operators(data):
      lambda: decline_check(RationalDecayPrecision(1), 10, [20, 30]).passed),
     ("ConstantPrecision.value", lambda self, lam: 1 / lam,
      lambda: decline_check(ConstantPrecision(1), 10, [20, 30]).passed),
-    ("_repaired_useful", lambda lam, p, c: p.value(lam) * lam,
+    ("_repaired_pair", lambda lam, p, c: (p.value(lam) * lam).as_integer_ratio(),
      lambda: plateau_check(FixedFractionModel(0, 10), [20, 30]).passed),
 ], ids=["flat-decay", "rising-decay", "varying-constant", "no-saturation"])
 def test_checks_fail_on_planted_defects(monkeypatch, target, planted, check):

@@ -64,11 +64,11 @@ REPRS = [
      "common_factor=Fraction(2, 1))"),
     (MIGRATION, "MigrationDecomposition(departed=(), entered=())"),
     (verify_characterizations(P, A),
-     "CharacterizationVerdict(passed=True, failures=(), detail={"
+     "CharacterizationVerdict(passed=True, failures=(), detail=mappingproxy({"
      "'base_throughput': Fraction(1, 2), 'new_throughput': Fraction(1, 1), "
-     "'bottlenecks_before': ['b'], 'bottlenecks_after': ['b'], "
-     "'factors': {'a': Fraction(1, 1), 'b': Fraction(2, 1)}, "
-     "'capacities': {'a': Fraction(3, 1), 'b': Fraction(1, 2)}})"),
+     "'bottlenecks_before': ('b',), 'bottlenecks_after': ('b',), "
+     "'factors': mappingproxy({'a': Fraction(1, 1), 'b': Fraction(2, 1)}), "
+     "'capacities': mappingproxy({'a': Fraction(3, 1), 'b': Fraction(1, 2)})}))"),
     (FixedFractionModel("1/4", 10),
      "FixedFractionModel(false_positive_fraction=Fraction(1, 4), "
      "investigation_capacity=Fraction(10, 1))"),
@@ -159,6 +159,12 @@ def test_equality_and_hash_follow_the_field_tuple(value):
 def test_a_mapping_field_refuses_item_assignment():
     with pytest.raises(TypeError):
         verify_all(GeneratorConfig(seed=1, instance_count=2)).checks["ceiling"] = 99
+    detail = verify_characterizations(Pipeline(("a", "b"), {"a": 3, "b": 1}),
+                                      Multiplier({"a": 1, "b": 2})).detail
+    with pytest.raises(TypeError):
+        detail["base_throughput"] = 99
+    with pytest.raises(TypeError):
+        detail["factors"]["a"] = 5
 
 
 def test_a_differing_field_breaks_equality():

@@ -44,18 +44,18 @@ SWAP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
 DELETE = {ast.If: "if", ast.Raise: "raise", ast.Expr: "call", ast.For: "for",
           ast.While: "while", ast.Try: "try", ast.With: "with", ast.AugAssign: "augassign"}
 # (name, module, [(old text, new text), ...]): each old text occurs once
+_ARGMIN = "in triples:\n        lhs, rhs = n * best_d, best_n * d"
+_CAPACITY_SCAN = "as_integer_ratio()\n        lhs, rhs = n * best_d, best_n * d"
 ARITHMETIC = [
     ("argmin-mispaired-products", "model",
-     [("lhs, rhs = n * best_d, best_n * d", "lhs, rhs = n * d, best_n * best_d")]),
+     [(_ARGMIN, "in triples:\n        lhs, rhs = n * d, best_n * best_d")]),
     ("argmin-swapped-products", "model",
-     [("lhs, rhs = n * best_d, best_n * d", "lhs, rhs = best_n * d, n * best_d")]),
+     [(_ARGMIN, "in triples:\n        lhs, rhs = best_n * d, n * best_d")]),
     # the same two defects in the one-scan minima of capacities and of products
     ("capacity-scan-mispaired-products", "model",
-     [("(x := cap[s]).numerator * best_d, best_n * x.denominator",
-       "(x := cap[s]).numerator * x.denominator, best_n * best_d")]),
+     [(_CAPACITY_SCAN, "as_integer_ratio()\n        lhs, rhs = n * d, best_n * best_d")]),
     ("capacity-scan-swapped-products", "model",
-     [("(x := cap[s]).numerator * best_d, best_n * x.denominator",
-       "best_n * (x := cap[s]).denominator, x.numerator * best_d")]),
+     [(_CAPACITY_SCAN, "as_integer_ratio()\n        lhs, rhs = best_n * d, n * best_d")]),
     ("product-scan-mispaired-products", "model",
      [("if n * best_d < best_n * d:", "if n * d < best_n * best_d:")]),
     ("product-scan-swapped-products", "model",
