@@ -5,8 +5,8 @@ stages), no admissible perturbation can push throughput past the smallest
 capacity in H.  The bound is tight: `tightness_witness` builds an explicit
 multiplier achieving it exactly, by raising every non-pinned stage far
 enough that none of them can be the minimum.  Both take their minima in
-one integer scan with `model._capacity_argmin`, as `throughput` does, and
-the witness's factor is an integer floor division.
+one integer scan with `model._argmin`, as `throughput` does, and the
+witness's factor is an integer floor division.
 
 The assist-bound variant (each pinned stage allowed a factor up to a given
 bound) gives the ceiling min over H of bound * capacity, attained by the
@@ -27,8 +27,6 @@ from .model import (
     RationalInput,
     Record,
     _argmin,
-    _capacity_argmin,
-    _products,
     _quoted,
     as_fraction,
 )
@@ -90,7 +88,7 @@ def ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:
     throughput of every perturbation that leaves the pinned stages at
     factor 1."""
     _require_nonempty(p, h)
-    return p.capacity[_capacity_argmin(p, h.human_stages)[2][0]]
+    return p.capacity[_argmin(p, h.human_stages)[2][0]]
 
 
 def is_h_admissible(a: Multiplier, h: AuthoritySpec) -> bool:
@@ -110,8 +108,8 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
     """
     _require_nonempty(p, h)
     machine = [s for s in p.stages if s not in h.human_stages]
-    hn, hd, _ = _capacity_argmin(p, h.human_stages)
-    mn, md, _ = _capacity_argmin(p, machine)
+    hn, hd, _ = _argmin(p, h.human_stages)
+    mn, md, _ = _argmin(p, machine)
     # N - 1 = ceil((hn/hd) / (mn/md)), all four positive; with no machine
     # stage the scan gives mn/md = 1/0, so N = 1 and this is the identity
     n = Fraction(-(-hn * md // (hd * mn)) + 1)
@@ -120,7 +118,7 @@ def tightness_witness(p: Pipeline, h: AuthoritySpec) -> Multiplier:
 
 def generalized_ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:
     """Ceiling under assist limits: min over pinned stages of bound * capacity,
-    taken with `_argmin` on the unreduced integer `_products`.
+    taken with `_argmin` weighted by the bounds.
 
     It is attained: pin each stage at its bound and raise the others by N,
     as `tightness_witness` does.  With all bounds equal to 1 it coincides
@@ -129,5 +127,5 @@ def generalized_ceiling(p: Pipeline, h: AuthoritySpec) -> Fraction:
     _require_nonempty(p, h)
     if h.assist_bound is None:
         raise ConfigurationError("generalized ceiling requires assist bounds")
-    n, d, _ = _argmin(_products(p, h.assist_bound, h.human_stages))
+    n, d, _ = _argmin(p, h.human_stages, h.assist_bound)
     return Fraction(n, d)

@@ -13,8 +13,7 @@ both sides:
 
 `classify`, `preservation_report` and `migration_decomposition` are
 projections of one pass over the (pipeline, multiplier) pair, `_analyse`,
-which `cli perturb` and `verify_characterizations` read whole; `--explain`
-prints the per-stage products that pass builds.
+which `cli perturb` and `verify_characterizations` read whole.
 `verify_characterizations` recomputes both sides of each equivalence from
 first principles and reports any disagreement as an internal defect with all
 intermediate values attached.
@@ -31,8 +30,6 @@ from .model import (
     Pipeline,
     Record,
     _argmin,
-    _capacity_argmin,
-    _products,
     check_admissible,
 )
 
@@ -87,18 +84,17 @@ class MigrationDecomposition(Record):
 
 
 def _analyse(p: Pipeline, a: Multiplier) -> tuple[
-        PerturbationClassification, PreservationReport, MigrationDecomposition, list]:
-    """The three reports on one perturbation, from a single pass: one
-    admissibility check, one capacity minimum, and one list of perturbed
-    products, of unreduced (stage, n, d) in stage order, which comes fourth.
-    Minima, ties, the unchanged test and condition (ii) are decided on
-    integer pairs, the last from the bottlenecks' shared capacity."""
+        PerturbationClassification, PreservationReport, MigrationDecomposition]:
+    """The three reports on one perturbation, from one admissibility check
+    and three `_argmin` scans: of the capacities, of the perturbed products,
+    and of the non-bottlenecks' products.  Minima, ties, the unchanged test
+    and condition (ii) are decided on integer pairs, the last from the
+    bottlenecks' shared capacity."""
     check_admissible(p, a)
-    base_n, base_d, bottlenecks = _capacity_argmin(p)
-    products = _products(p, a.factor, p.stages)
-    new_n, new_d, new_bottlenecks = _argmin(products)
-    before, after = frozenset(bottlenecks), frozenset(new_bottlenecks)
     fac = a.factor
+    base_n, base_d, bottlenecks = _argmin(p)
+    new_n, new_d, new_bottlenecks = _argmin(p, None, fac)
+    before, after = frozenset(bottlenecks), frozenset(new_bottlenecks)
 
     unchanged = new_n * base_d == base_n * new_d
     classification = PerturbationClassification(
@@ -115,7 +111,7 @@ def _analyse(p: Pipeline, a: Multiplier) -> tuple[
     condition_i = len(factors) == 1
     top = max(factors)
     # the rest's minimum is 1/0, above every product, if every stage is a bottleneck
-    best_n, best_d, _ = _argmin([t for t in products if t[0] not in before])
+    best_n, best_d, _ = _argmin(p, [s for s in p.stages if s not in before], fac)
     condition_ii = top.numerator * base_n * best_d < best_n * top.denominator * base_d
     preservation = PreservationReport(
         preserved=before == after,
@@ -129,7 +125,7 @@ def _analyse(p: Pipeline, a: Multiplier) -> tuple[
         departed=tuple(s for s in bottlenecks if s not in after),
         entered=tuple(s for s in new_bottlenecks if s not in before),
     )
-    return classification, preservation, migration, products
+    return classification, preservation, migration
 
 
 def classify(p: Pipeline, a: Multiplier) -> PerturbationClassification:
@@ -172,7 +168,7 @@ def scan_min(values) -> Fraction:
 
 
 def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerdict:
-    cls, rep, decomp, _ = _analyse(p, a)  # refuses an inadmissible multiplier
+    cls, rep, decomp = _analyse(p, a)  # refuses an inadmissible multiplier
     base = scan_min([p.capacity[s] for s in p.stages])
     # each stage's perturbed capacity, a Fraction product built once
     product = {s: a.factor[s] * p.capacity[s] for s in p.stages}

@@ -49,17 +49,17 @@ def _factors(factor) -> dict[str, str]:
     return {s: texts[id(factor[s])] for s in stages}
 
 
-def _explain(payload: dict, lines: list[str], p, factor, products, cls) -> None:
-    """--explain: each stage's capacity, factor and perturbed value, from
-    `_analyse`'s unreduced products (stage, n, d), and its role before and
-    after, read off the classification `cls`; capacities and factors print
-    (inputs, or a witness already printed)."""
+def _explain(payload: dict, lines: list[str], p, factor, cls) -> None:
+    """--explain: each stage's capacity, factor and perturbed value
+    factor * capacity, and its role before and after, read off the
+    classification `cls`; capacities and factors print (inputs, or a
+    witness already printed)."""
     role = ("non-bottleneck", "bottleneck")
     base, new = cls.base_throughput, cls.new_throughput
     rows = payload["per_stage"] = []
     lines.append("per stage: capacity x factor = perturbed, role before -> after")
-    for s, n, d in products:
-        x = Fraction(n, d)
+    for s in p.stages:
+        x = factor[s] * p.capacity[s]
         row = {"stage": s, "capacity": str(p.capacity[s]), "factor": str(factor[s]),
                "perturbed": _text(x, "perturbed capacity of stage {}", s),
                "before": role[p.capacity[s] == base], "after": role[x == new]}
@@ -99,7 +99,7 @@ def _cmd_perturb(args) -> int:
     from .characterize import _analyse
     doc = load_document(args.file)
     mult = doc.scenario(args.scenario)
-    cls, pres, migr, products = _analyse(doc.pipeline, mult)
+    cls, pres, migr = _analyse(doc.pipeline, mult)
     base = _text(cls.base_throughput, "base throughput")
     new = _text(cls.new_throughput, "new throughput")
     common = (None if pres.common_factor is None
@@ -136,7 +136,7 @@ def _cmd_perturb(args) -> int:
     else:
         lines.append("migration: none")
     if args.explain:
-        _explain(payload, lines, doc.pipeline, mult.factor, products, cls)
+        _explain(payload, lines, doc.pipeline, mult.factor, cls)
     _emit(args, payload, lines)
     return 0
 
@@ -167,9 +167,9 @@ def _cmd_ceiling(args) -> int:
         payload["generalized_ceiling"] = gen
         lines.append(f"assist-bound ceiling (bound only): {gen}")
     if args.explain:
-        from .characterize import _analyse
-        cls, _, _, products = _analyse(doc.pipeline, witness)
-        _explain(payload, lines, doc.pipeline, witness.factor, products, cls)
+        from .characterize import classify
+        _explain(payload, lines, doc.pipeline, witness.factor,
+                 classify(doc.pipeline, witness))
     _emit(args, payload, lines)
     return 0
 

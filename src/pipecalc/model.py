@@ -8,18 +8,18 @@ stagewise.
 
 All quantities are exact rationals (`fractions.Fraction`).  Floats are
 rejected at the boundary: the equality and tie structure the analysis relies
-on would not survive binary rounding.  Minima and ties are decided by
-integer cross-multiplication of each value's `as_integer_ratio()`, which is
-exact and builds no intermediate Fraction: `_capacity_argmin` (behind
-`ceiling`) and `perturbed_throughput` each scan the stages once; every result
-is still a Fraction.  `Pipeline`, `Multiplier` and `planner.CostModel` accept
-first: one cheap test passes valid input, and their value-by-value checks run
-only to word a refusal.  The constructors' sign checks (capacity > 0, factor
->= 1, and their relatives in `ceiling` and `planner`) read the sign off the
-normalised numerator and denominator, and `characterize` decides whether
-throughput changed, and preservation's separation test, on unreduced integer
-pairs in the same way.  Parsing is on integers too: `as_fraction` reads
-"17", "13/4" and "3.25" with int() alone, and any other text with Fraction.
+on would not survive binary rounding.  Every minimum is one `_argmin`: the
+least weight x capacity over a set of stages, with weight 1 or a pointwise
+factor, in one scan that cross-multiplies `as_integer_ratio()` pairs, so it
+is exact and builds no Fraction until the result.  `Pipeline`, `Multiplier`
+and `planner.CostModel` accept first: one cheap test passes valid input, and
+their value-by-value checks run only to word a refusal.  The constructors'
+sign checks (capacity > 0, factor >= 1, and their relatives in `ceiling` and
+`planner`) read the sign off the normalised numerator and denominator, and
+`characterize` decides whether throughput changed, and preservation's
+separation test, on unreduced integer pairs in the same way.  Parsing is on
+integers too: `as_fraction` reads "17", "13/4" and "3.25" with int() alone,
+and any other text with Fraction.
 
 Model assumptions enforced by validation (numbered for report output):
   1. the stage set is finite and nonempty;
@@ -362,29 +362,21 @@ class BottleneckReport(Record):
     non_bottlenecks: tuple[str, ...]
 
 
-def _argmin(triples: Iterable[tuple[str, int, int]]) -> tuple[int, int, list[str]]:
-    """Smallest n/d over (stage, n, d) triples with d > 0, as (n, d, stages
-    attaining it in input order), from 1/0, above every value: (1, 0, []) for none.
+def _argmin(p: Pipeline, stages: Iterable[str] | None = None,
+            weight: Mapping[str, Fraction] | None = None) -> tuple[int, int, list[str]]:
+    """Least weight[s] * capacity[s] over `stages` (default: all, in stage
+    order; weight 1 where none is given), as (n, d, stages attaining it in
+    the order scanned), from 1/0, above every value: (1, 0, []) for none.
 
+    Each value is the unreduced product of `as_integer_ratio()` pairs, and
     n1/d1 < n2/d2 exactly when n1*d2 < n2*d1, so every comparison is one
     pair of integer products and no Fraction is built or normalised."""
-    best_n, best_d, ties = 1, 0, []
-    for stage, n, d in triples:
-        lhs, rhs = n * best_d, best_n * d
-        if lhs < rhs:
-            best_n, best_d, ties = n, d, [stage]
-        elif lhs == rhs:
-            ties.append(stage)
-    return best_n, best_d, ties
-
-
-def _capacity_argmin(p: Pipeline,
-                     stages: Iterable[str] | None = None) -> tuple[int, int, list[str]]:
-    """`_argmin` of the capacities of `stages` (default: all, in stage order)
-    in one scan, starting from 1/0 above every capacity: (1, 0, []) for none."""
     cap, best_n, best_d, ties = p.capacity, 1, 0, []
     for s in (p.stages if stages is None else stages):
         n, d = cap[s].as_integer_ratio()
+        if weight is not None:
+            wn, wd = weight[s].as_integer_ratio()
+            n, d = n * wn, d * wd
         lhs, rhs = n * best_d, best_n * d
         if lhs < rhs:
             best_n, best_d, ties = n, d, [s]
@@ -393,28 +385,17 @@ def _capacity_argmin(p: Pipeline,
     return best_n, best_d, ties
 
 
-def _products(p: Pipeline, fac: Mapping[str, Fraction],
-              stages: Iterable[str]) -> list[tuple[str, int, int]]:
-    """(stage, n, d) with n/d = fac[stage] * capacity, as the unreduced
-    integer pair of products, for each of `stages` in the order given."""
-    cap, products = p.capacity, []
-    for s in stages:
-        (cn, cd), (fn, fd) = cap[s].as_integer_ratio(), fac[s].as_integer_ratio()
-        products.append((s, cn * fn, cd * fd))
-    return products
-
-
 def throughput(p: Pipeline) -> Fraction:
     """Minimum stage capacity.  Always exists and is > 0."""
-    return p.capacity[_capacity_argmin(p)[2][0]]
+    return p.capacity[_argmin(p)[2][0]]
 
 
 def bottleneck_set(p: Pipeline) -> frozenset[str]:
-    return frozenset(_capacity_argmin(p)[2])
+    return frozenset(_argmin(p)[2])
 
 
 def bottleneck_report(p: Pipeline) -> BottleneckReport:
-    bottle = _capacity_argmin(p)[2]
+    bottle = _argmin(p)[2]
     tied = set(bottle)
     return BottleneckReport(
         throughput=p.capacity[bottle[0]],
@@ -436,12 +417,7 @@ def perturb(p: Pipeline, a: Multiplier) -> Pipeline:
 def perturbed_throughput(p: Pipeline, a: Multiplier) -> Fraction:
     """Throughput after perturbation, computed directly as
     min over stages of factor * capacity, without building the perturbed
-    pipeline, in one scan of the unreduced integer pairs of products."""
+    pipeline."""
     check_admissible(p, a)
-    cap, fac, best_n, best_d = p.capacity, a.factor, 1, 0  # 1/0: above every product
-    for s in p.stages:
-        (cn, cd), (fn, fd) = cap[s].as_integer_ratio(), fac[s].as_integer_ratio()
-        n, d = cn * fn, cd * fd
-        if n * best_d < best_n * d:
-            best_n, best_d = n, d
-    return Fraction(best_n, best_d)
+    n, d, _ = _argmin(p, None, a.factor)
+    return Fraction(n, d)

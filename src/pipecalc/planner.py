@@ -48,7 +48,7 @@ from .model import (
     Pipeline,
     RationalInput,
     Record,
-    _capacity_argmin,
+    _argmin,
     _quoted,
     _shown,
     as_fraction,
@@ -114,7 +114,7 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     job."""
     _check_domain(p, c)
     cap = p.capacity
-    bottlenecks = _capacity_argmin(p)[2]
+    bottlenecks = _argmin(p)[2]
     if len(bottlenecks) != 1:
         raise TiedBottleneckError(
             f"bottlenecks {sorted(bottlenecks)} are tied; improving all "
@@ -125,7 +125,7 @@ def trivial_allocation(p: Pipeline, c: CostModel) -> AllocationResult:
     rest = [s for s in p.stages if s != b]  # the runner-up is the least of these
     factor_b = uncapped
     if rest:
-        factor_b = min(uncapped, cap[_capacity_argmin(p, rest)[2][0]] / cap[b])
+        factor_b = min(uncapped, cap[_argmin(p, rest)[2][0]] / cap[b])
     spent = c.unit_cost[b] * (factor_b - 1)
     factors = dict.fromkeys(p.stages, ONE)
     factors[b] = factor_b

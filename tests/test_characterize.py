@@ -172,19 +172,19 @@ def test_verify_fires_on_planted_defect(example_pipeline, monkeypatch,
 
 def test_one_pass_per_perturbation(example_pipeline, tmp_path, monkeypatch,
                                    capsys):
-    # one capacity scan and one product list, whose minimum _argmin takes;
-    # no second product scan through perturbed_throughput
-    names = ("check_admissible", "_capacity_argmin", "_products")
-    counts = count_calls(monkeypatch, names + ("perturbed_throughput",))
+    # three scans, of the capacities, the products and the non-bottlenecks'
+    # products, and no product list; no perturbed_throughput call
+    expected = {"check_admissible": 1, "_argmin": 3}
+    counts = count_calls(monkeypatch, (*expected, "perturbed_throughput"))
     path = tmp_path / "pipeline.json"
     path.write_text(EXAMPLE_DOC)
     assert main(["perturb", str(path), "--scenario", "boost"]) == 0
-    assert dict(counts) == dict.fromkeys(names, 1)
+    assert dict(counts) == expected
 
     counts.clear()
     a = Multiplier({"a": 2, "b": 1, "c": 5})
     assert verify_characterizations(example_pipeline, a).passed
-    assert dict(counts) == dict.fromkeys(names, 1)
+    assert dict(counts) == expected
 
 
 # -- properties --------------------------------------------------------------

@@ -99,14 +99,14 @@ class TestUnitCostConversion:
 
 
 def test_allocators_make_no_second_pass(example_pipeline, monkeypatch):
-    counts = count_calls(monkeypatch, ("_capacity_argmin", "perturbed_throughput"))
+    counts = count_calls(monkeypatch, ("_argmin", "perturbed_throughput"))
     p = example_pipeline
     for budget in (0, 1, 6):
         for allocate in (trivial_allocation, maxmin_allocation):
             res = allocate(p, CostModel.uniform(p, budget))
     # one scan per minimum: a trivial allocation scans once for its bottleneck
     # and once for its runner-up, and neither allocator recomputes its level
-    assert dict(counts) == {"_capacity_argmin": 3 * 2}
+    assert dict(counts) == {"_argmin": 3 * 2}
     # the other wrapper is live: one recomputation is counted once
     assert model.perturbed_throughput(p, res.multiplier) == res.achieved_throughput
     assert counts["perturbed_throughput"] == 1

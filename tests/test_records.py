@@ -38,7 +38,7 @@ from pipecalc.model import Record
 
 P = Pipeline(("a", "b"), {"a": 3, "b": "1/2"})
 A = Multiplier({"a": 1, "b": 2})
-CLASSIFICATION, PRESERVATION, MIGRATION, _ = _analyse(P, A)
+CLASSIFICATION, PRESERVATION, MIGRATION = _analyse(P, A)
 DOC = parse_document(json.dumps({
     "format_version": "1",
     "pipeline": {"name": "n", "stages": [{"id": "a", "capacity": "3"}]},

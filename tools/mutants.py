@@ -44,22 +44,12 @@ SWAP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
 DELETE = {ast.If: "if", ast.Raise: "raise", ast.Expr: "call", ast.For: "for",
           ast.While: "while", ast.Try: "try", ast.With: "with", ast.AugAssign: "augassign"}
 # (name, module, [(old text, new text), ...]): each old text occurs once
-_ARGMIN = "in triples:\n        lhs, rhs = n * best_d, best_n * d"
-_CAPACITY_SCAN = "as_integer_ratio()\n        lhs, rhs = n * best_d, best_n * d"
+_ARGMIN = "n, d = n * wn, d * wd\n        lhs, rhs = "
 ARITHMETIC = [
     ("argmin-mispaired-products", "model",
-     [(_ARGMIN, "in triples:\n        lhs, rhs = n * d, best_n * best_d")]),
+     [(_ARGMIN + "n * best_d, best_n * d", _ARGMIN + "n * d, best_n * best_d")]),
     ("argmin-swapped-products", "model",
-     [(_ARGMIN, "in triples:\n        lhs, rhs = best_n * d, n * best_d")]),
-    # the same two defects in the one-scan minima of capacities and of products
-    ("capacity-scan-mispaired-products", "model",
-     [(_CAPACITY_SCAN, "as_integer_ratio()\n        lhs, rhs = n * d, best_n * best_d")]),
-    ("capacity-scan-swapped-products", "model",
-     [(_CAPACITY_SCAN, "as_integer_ratio()\n        lhs, rhs = best_n * d, n * best_d")]),
-    ("product-scan-mispaired-products", "model",
-     [("if n * best_d < best_n * d:", "if n * d < best_n * best_d:")]),
-    ("product-scan-swapped-products", "model",
-     [("if n * best_d < best_n * d:", "if best_n * d < n * best_d:")]),
+     [(_ARGMIN + "n * best_d, best_n * d", _ARGMIN + "best_n * d, n * best_d")]),
     ("witness-without-plus-one", "ceiling", [("mn)) + 1)", "mn)))")]),
     ("witness-floor-division", "ceiling", [("-(-hn * md // (hd * mn))", "hn * md // (hd * mn)")]),
     ("unchanged-numerators-only", "characterize",
@@ -76,6 +66,7 @@ ARITHMETIC = [
       ("_, x, _, stage = heapq", "_, _, x, stage = heapq"),
       ("(x := heap[0][1])", "(x := heap[0][2])")]),
 ]
+RESOLVE = "tests/test_demos.py::test_arithmetic_mutants_resolve"
 TIMEOUT = 300  # seconds per pytest run
 WORKERS = os.cpu_count() or 1
 
@@ -151,8 +142,9 @@ def run(mutant, snapshot, args):
         target.write_bytes(source)
         command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                    "--continue-on-collection-errors", f"--hypothesis-seed={args.seed}",
-                   "-rfE", "--tb=no",
-                   *(["-x"] if args.x else []), *args.tests]
+                   "-rfE", "--tb=no", *(["-x"] if args.x else []), *args.tests,
+                   # a mutant that edits quoted text fails this test on its quote alone
+                   *(["--deselect", RESOLVE] if spans else [])]
         env = dict(os.environ, PYTHONPATH=str(work / "src"))
         try:
             proc = subprocess.run(command, cwd=work, env=env, capture_output=True,
