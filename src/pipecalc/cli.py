@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -34,7 +33,7 @@ from .ceiling import (
     generalized_ceiling,
     tightness_witness,
 )
-from .documents import DocumentError, _exact, _json, _read, _text, load_document
+from .documents import DocumentError, _dumps, _exact, _json, _read, _text, load_document
 from .model import ONE, _quoted, bottleneck_report, perturbed_throughput
 
 
@@ -69,11 +68,7 @@ def _explain(payload: dict, lines: list[str], p, factor, cls) -> None:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    print(_dumps(payload) if args.format == "structured" else "\n".join(text_lines))
 
 
 def _cmd_analyze(args) -> int:

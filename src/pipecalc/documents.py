@@ -22,6 +22,7 @@ document round-trips losslessly.  Schema (format_version "1"):
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Mapping
 from fractions import Fraction
@@ -249,8 +250,32 @@ def document_dict(doc: PipelineDocument) -> dict:
     return out
 
 
+_encoder = functools.cache(  # the C encoder per line break and indent `pad`
+    lambda pad: json.JSONEncoder(sort_keys=True, separators=("," + pad, ": ")).encode)
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for dicts
+    with text keys, lists, tuples, text, ints, bools and None.  json encodes
+    an indent in Python before 3.13, so each container holding no non-empty
+    container is one C encoder call, its line break and indent in the item
+    separator; only containers of containers recurse, `pad` before their end."""
+    inner = pad + "  "
+    encode = _encoder(inner)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return encode(value)
+    is_dict = isinstance(value, dict)
+    values = value.values() if is_dict else value
+    if {dict, list, tuple}.isdisjoint(map(type, filter(None, values))):
+        text = encode(value)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    parts = ([encode(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
+             if is_dict else [_dumps(v, inner) for v in values])
+    return "[{"[is_dict] + inner + ("," + inner).join(parts) + pad + "]}"[is_dict]
+
+
 def serialize_document(doc: PipelineDocument) -> str:
-    return json.dumps(document_dict(doc), indent=2, sort_keys=True) + "\n"
+    return _dumps(document_dict(doc)) + "\n"
 
 
 def document_for_pipeline(pipeline: Pipeline, name: str = "") -> PipelineDocument:

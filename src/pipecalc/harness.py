@@ -16,7 +16,6 @@ proved — carries its (seed, index) for exact replay.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from types import MappingProxyType
@@ -30,6 +29,7 @@ from .ceiling import (
     tightness_witness,
 )
 from .characterize import scan_min, verify_characterizations
+from .documents import _dumps
 from .falsepos import (
     FixedFractionModel,
     RationalDecayPrecision,
@@ -315,7 +315,7 @@ def structured_report(verdict: HarnessVerdict) -> str:
             for ce in verdict.counterexamples
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _dumps(payload) + "\n"
 
 
 def text_report(verdict: HarnessVerdict) -> str:

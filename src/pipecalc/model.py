@@ -277,8 +277,8 @@ class Pipeline(Record):
         capacity: Mapping[str, RationalInput],
     ):
         stage_tuple = tuple(stages)
-        cap = {s: c if type(c) is Fraction else as_fraction(c)
-               for s, c in capacity.items()}
+        cap = (dict(capacity) if set(map(type, capacity.values())) == {Fraction} else
+               {s: c if type(c) is Fraction else as_fraction(c) for s, c in capacity.items()})
         # accept first: _check_description runs only to word a refusal
         if not (set(map(type, stage_tuple)) == {str} and "" not in (ids := set(stage_tuple))
                 and len(ids) == len(stage_tuple) and cap.keys() == ids

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, pipelines
@@ -16,6 +16,7 @@ from pipecalc import (
     parse_document,
     serialize_document,
 )
+from pipecalc.documents import _dumps
 
 EXAMPLE_DOC = json.dumps({
     "format_version": "1",
@@ -349,3 +350,42 @@ def test_scenario_factor_is_given_value_or_one(named, data):
     for s in stages:
         assert type(factor[s]) is Fraction
         assert factor[s] == Fraction(given_factors.get(s, 1))
+
+
+# -- the indented JSON writer -------------------------------------------------
+
+# text json escapes (quotes, backslashes, control characters, non-ASCII up to
+# an astral character) as well as any text
+JSON_TEXT = st.text(st.sampled_from('a"\\\n\x00\x1f\x7f\xe9\u2028\U0001f600'),
+                    max_size=4) | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**80)
+    | st.integers(-(2**80), -(2**64)) | JSON_TEXT,
+    lambda inner: (st.dictionaries(JSON_TEXT, inner, max_size=5)
+                   | st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)),
+    max_leaves=30)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(JSON_VALUES)
+@example({})
+@example(())
+@example({"a": [], "b": {"c": {}, "d": [[], ()]}, "e": ["x", [1, {}]]})
+@example({'"\\\n\x00\xe9\U0001f600': [2**64, -(2**70), True, None, "\u2028"]})
+def test_dumps_is_indented_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_flat_containers_reach_the_c_encoder_once(monkeypatch):
+    # one encoder call per container that holds no non-empty container, not
+    # one per item: a flat dict or list of 1,000, and one nested under text
+    calls = []
+    make = json.encoder.c_make_encoder
+    monkeypatch.setattr(json.encoder, "c_make_encoder",
+                        lambda *args: calls.append(args) or make(*args))
+    flat = {f"s{i}": i for i in range(1000)}
+    for value in (flat, list(range(1000)), {"factors": flat, "spent": "5/2"}):
+        expected = json.dumps(value, indent=2, sort_keys=True)
+        calls.clear()
+        assert _dumps(value) == expected
+        assert len(calls) == 1

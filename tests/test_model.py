@@ -347,6 +347,15 @@ class TestValidatePipeline:
         assert isinstance(rep, ValidationReport)
         assert len(rep.violations) >= 3
 
+    @pytest.mark.parametrize("capacity", [
+        {"a": Fraction(3), "b": Fraction(1, 2)}, {"a": Fraction(3), "b": "1/2"}],
+        ids=["all-Fractions", "mixed"])
+    def test_capacity_is_a_copy(self, capacity):
+        p = Pipeline(("a", "b"), capacity)
+        capacity["a"] = Fraction(-1)
+        assert dict(p.capacity) == {"a": 3, "b": Fraction(1, 2)}
+        assert set(map(type, p.capacity.values())) == {Fraction}
+
 
 @pytest.mark.parametrize("mapping", [
     lambda p: p.capacity,
