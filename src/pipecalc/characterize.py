@@ -14,9 +14,10 @@ both sides:
 `classify`, `preservation_report` and `migration_decomposition` are
 projections of one pass over the (pipeline, multiplier) pair, `_analyse`,
 which `cli perturb` and `verify_characterizations` read whole.
-`verify_characterizations` recomputes both sides of each equivalence from
-first principles and reports any disagreement as an internal defect with all
-intermediate values attached.
+`verify_characterizations` recomputes both sides of each equivalence with
+the one brute-force oracle that the harness and the tests share, the builtin
+`min` over `Fraction` values and `Fraction` operators, and reports any
+disagreement as an internal defect with all intermediate values attached.
 """
 
 from __future__ import annotations
@@ -155,24 +156,12 @@ class CharacterizationVerdict(Record):
             {k: MappingProxyType(dict(v)) if type(v) is dict else v for k, v in self.detail.items()}))
 
 
-def scan_min(values) -> Fraction:
-    """Smallest of `values` by an explicit linear scan: the brute-force
-    minimum that checks `throughput` and its relatives, so it shares no code
-    with them."""
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if v < best:
-            best = v
-    return best
-
-
 def verify_characterizations(p: Pipeline, a: Multiplier) -> CharacterizationVerdict:
     cls, rep, decomp = _analyse(p, a)  # refuses an inadmissible multiplier
-    base = scan_min([p.capacity[s] for s in p.stages])
+    base = min(p.capacity.values())
     # each stage's perturbed capacity, a Fraction product built once
     product = {s: a.factor[s] * p.capacity[s] for s in p.stages}
-    new = scan_min(product.values())
+    new = min(product.values())
     before = frozenset(s for s in p.stages if p.capacity[s] == base)
     after = frozenset(s for s in p.stages if product[s] == new)
 

@@ -351,10 +351,8 @@ def _cmd_verify(args) -> int:
         seed=args.seed, instance_count=args.count, max_stages=args.max_stages
     )
     verdict = harness.verify_all(cfg)
-    if args.format == "structured":
-        sys.stdout.write(harness.structured_report(verdict))
-    else:
-        sys.stdout.write(harness.text_report(verdict))
+    report = harness.structured_report if args.format == "structured" else harness.text_report
+    sys.stdout.write(report(verdict))
     return 0 if verdict.passed else 2
 
 

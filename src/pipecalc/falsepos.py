@@ -119,6 +119,8 @@ class ConstantPrecision(Record):
         object.__setattr__(self, "level", f)
 
     def value(self, lam: Fraction) -> Fraction:
+        if type(lam) is not Fraction:
+            as_fraction(lam)  # refuses a float or bool rate like the other families
         return self.level
 
 
@@ -135,6 +137,8 @@ class RationalDecayPrecision(Record):
         object.__setattr__(self, "rate_coefficient", k)
 
     def value(self, lam: Fraction) -> Fraction:
+        if type(lam) is not Fraction:
+            lam = as_fraction(lam)
         k = self.rate_coefficient
         t = k.denominator * lam.denominator
         return Fraction(t, t + k.numerator * lam.numerator)
@@ -165,6 +169,8 @@ class TablePrecision(Record):
         object.__setattr__(self, "points", pts)
 
     def value(self, lam: Fraction) -> Fraction:
+        if type(lam) is not Fraction:
+            lam = as_fraction(lam)
         pts = self.points
         lo, hi = pts[0][0], pts[-1][0]
         if _cmp(lam, lo) < 0 or _cmp(lam, hi) > 0:
@@ -174,13 +180,6 @@ class TablePrecision(Record):
         (l1, p1), (l2, p2) = next(seg for seg in zip(pts, pts[1:])
                                   if _cmp(lam, seg[1][0]) <= 0)
         return p1 + (p2 - p1) * (lam - l1) / (l2 - l1)
-
-    def strictly_decreasing_above(self, c_inv: Fraction) -> bool:
-        """Consecutive breakpoint values must strictly decrease on the part
-        of the span above c_inv."""
-        relevant = [(l, p) for l, p in self.points if _cmp(l, c_inv) > 0]
-        return all(_cmp(p1, p2) > 0
-                   for (_, p1), (_, p2) in zip(relevant, relevant[1:]))
 
 
 PrecisionFunction = ConstantPrecision | RationalDecayPrecision | TablePrecision
@@ -229,8 +228,11 @@ def decline_check(
     if samples and _cmp(samples[0], c_inv) <= 0:  # accept first: the least one
         _check_above(samples, c_inv)
 
-    # the decay family decreases everywhere; only a table can fail to
-    if isinstance(p, TablePrecision) and not p.strictly_decreasing_above(c_inv):
+    # the decay family decreases everywhere; only a table can fail to, on
+    # any segment that reaches above c_inv, the one that straddles it too
+    if isinstance(p, TablePrecision) and not all(
+            _cmp(p1, p2) > 0 for (_, p1), (l2, p2) in zip(p.points, p.points[1:])
+            if _cmp(l2, c_inv) > 0):
         raise ModelValidationError(
             "precision function is not strictly decreasing above the "
             "investigation capacity"

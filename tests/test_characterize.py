@@ -111,7 +111,7 @@ class TestVerifyCharacterizations:
     def test_counterexample_carries_detail(self, example_pipeline, monkeypatch):
         import pipecalc.characterize as ch
 
-        monkeypatch.setattr(ch, "scan_min", lambda vals: max(vals))
+        monkeypatch.setattr(ch, "min", max, raising=False)
         v = verify_characterizations(
             example_pipeline, Multiplier({"a": 1, "b": 1, "c": 1})
         )

@@ -258,6 +258,18 @@ class TestFp:
         assert [payload[s]["passed"] for s in ("plateau", "decline")] == [
             s != section for s in ("plateau", "decline")]
 
+    def test_table_rising_across_capacity_refused(self, tmp_path, capsys):
+        # a rise on the segment that straddles the capacity breaks the
+        # hypothesis of Proposition 6: a refusal, not an internal defect
+        path = _file(tmp_path, "fp.json", {
+            "precision": {"family": "table", "investigation_capacity": "2",
+                          "points": [["1", "1/2"], ["4", "1"], ["8", "1/4"]]},
+            "samples": ["5/2", "7/2"]})
+        assert main(["fp", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: precision function is not strictly decreasing above the "
+            "investigation capacity\n")
+
     def test_overlong_integer_refused(self, tmp_path, capsys):
         path = _file(tmp_path, "fp.json", '{"samples": [' + "9" * 5000 + "]}")
         assert main(["fp", path]) == 1

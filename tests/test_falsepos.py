@@ -130,10 +130,25 @@ class TestDeclineCheck:
         p = TablePrecision([(1, Fraction(1, 2)), (5, 1),
                             (20, Fraction(1, 2)), (40, Fraction(1, 4))])
         assert decline_check(p, 10, [20, 30, 40]).passed
-        # a breakpoint exactly at the capacity is not above it
+        # a breakpoint exactly at the capacity, then a rise: the rise is above it
         p = TablePrecision([(10, Fraction(1, 4)), (20, Fraction(1, 2)),
                             (40, Fraction(1, 4))])
-        assert decline_check(p, 10, [20, 30, 40]).passed
+        with pytest.raises(ModelValidationError, match="not strictly decreasing"):
+            decline_check(p, 10, [20, 30, 40])
+        # a rise on a segment that ends exactly at the capacity is not above it
+        p = TablePrecision([(1, Fraction(1, 4)), (10, Fraction(1, 2)),
+                            (20, Fraction(1, 4))])
+        assert decline_check(p, 10, [15, 20]).passed
+
+    @pytest.mark.parametrize("points, c_inv", [
+        # the segment that straddles the capacity rises on (2, 4)
+        ([(1, Fraction(1, 2)), (4, 1), (8, Fraction(1, 4))], 2),
+        # flat above the capacity is not strictly decreasing
+        ([(1, 1), (10, Fraction(1, 2)), (20, Fraction(1, 2))], 5),
+    ], ids=["rise-across-capacity", "flat-above-capacity"])
+    def test_table_refused_unless_decreasing_above_capacity(self, points, c_inv):
+        with pytest.raises(ModelValidationError, match="not strictly decreasing"):
+            decline_check(TablePrecision(points), c_inv, [])
 
 
 # -- every result against plain Fraction operators --------------------------

@@ -24,7 +24,6 @@ from pipecalc import (
     validate_pipeline,
 )
 from pipecalc.ceiling import ConfigurationError
-from pipecalc.characterize import scan_min
 from pipecalc.planner import CostModelError
 from pipecalc.model import _TooLong, _quoted as quoted, as_fraction, check_admissible
 
@@ -418,7 +417,7 @@ def test_core_matches_fraction_oracle(pm):
     p, a = pm
     caps = [p.capacity[s] for s in p.stages]
     products = {s: a.factor[s] * p.capacity[s] for s in p.stages}
-    base, new = scan_min(caps), scan_min(products.values())
+    base, new = min(caps), min(products.values())
     before = tuple(s for s in p.stages if p.capacity[s] == base)
     after = {s for s in p.stages if products[s] == new}
 

@@ -6,9 +6,10 @@ fails; `AuthoritySpec` keeps a bound that is exactly a `Fraction` and
 converts anything else.  Each row below gives an input together with the
 exception type and message it is refused with, or the exact values built
 from it, so that an accept test missing any one of its conditions lets some
-row through that must be refused, or keeps a value unconverted.  The last
-table does the same for the functions that take a pipeline together with a
-multiplier or cost model over other stages.
+row through that must be refused, or keeps a value unconverted.  The
+precision families' `value` methods refuse a float or bool rate as
+`as_fraction` does.  The last table does the same for the functions that
+take a pipeline together with a multiplier or cost model over other stages.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ from pipecalc.ceiling import (
     UndefinedCeilingError,
     generalized_ceiling,
 )
+from pipecalc.falsepos import ConstantPrecision, RationalDecayPrecision, TablePrecision
 from pipecalc.model import (
     ONE,
     AdmissibilityError,
@@ -207,6 +209,17 @@ BOUND_REFUSALS = [
          ConfigurationError, f"assist bounds below 1: {UNSHOWN}"),
 ]
 
+# each family converts a rate that is not exactly a Fraction, so a float or
+# bool is refused before it reaches the arithmetic
+_FAMILIES = [("constant", ConstantPrecision("1/2")),
+             ("decay", RationalDecayPrecision("1/10")),
+             ("table", TablePrecision([("5", "1"), ("10", "9/10")]))]
+RATE_REFUSALS = [
+    _row(f"{name}-{kind}", lambda p=p, rate=rate: p.value(rate), TypeError, message)
+    for name, p in _FAMILIES
+    for kind, rate, message in [("float", 7.5, FLOAT), ("bool", True, BOOL)]
+]
+
 _P = Pipeline(("a", "b"), {"a": 1, "b": 2})
 _ONES = Multiplier({"a": 1, "b": 1})
 
@@ -241,7 +254,7 @@ def _named(prefix, rows):
     "build, error, message",
     _named("pipeline", PIPELINE_REFUSALS) + _named("multiplier", MULTIPLIER_REFUSALS)
     + _named("cost-model", COST_MODEL_REFUSALS) + _named("bound", BOUND_REFUSALS)
-    + _named("stage-set", STAGE_SET_REFUSALS))
+    + _named("rate", RATE_REFUSALS) + _named("stage-set", STAGE_SET_REFUSALS))
 def test_refusal(build, error, message):
     with pytest.raises(Exception) as info:
         build()
