@@ -1,8 +1,9 @@
 """Versioned JSON document format for pipelines, scenarios, and authority.
 
 Capacities, factors, and assist bounds are written as exact text — "3",
-"3.25", or "13/4" — and parsed back to the identical rational, so a
-document round-trips losslessly.  Schema (format_version "1"):
+"3.25", or "13/4" — and parsed back to the identical rational by Python
+3.10's Fraction grammar on every interpreter (`as_fraction`; "1_000" and
+"3 / 4" are refused), so a document round-trips losslessly.  Schema:
 
     {
       "format_version": "1",

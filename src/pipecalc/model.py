@@ -74,8 +74,8 @@ def _printable(x: Fraction) -> Fraction:
     """`x`, refused unless its numerator and denominator have at most
     MAX_EXPONENT digits, the most that CPython prints as text.
 
-    as_fraction asks only where text can spell a longer value: with an
-    exponent, or in more than MAX_EXPONENT characters.  Without an exponent
+    as_fraction asks only where text can spell a longer value: off its
+    digit paths, or in more than MAX_EXPONENT characters.  Without an exponent
     a value has no more digits than its text has characters, and digits or
     digits/digits need no check at all: int() bounds each part, and
     normalising only shrinks them."""
@@ -113,16 +113,18 @@ class AdmissibilityError(ValueError):
 
 
 def as_fraction(value: RationalInput) -> Fraction:
-    """Convert an exact input (int, Fraction, or text like "3", "3.25",
-    "13/4", "1e-3") to a Fraction.  Floats are refused to keep arithmetic
-    exact, and so is text whose decimal exponent exceeds MAX_EXPONENT in
-    magnitude, or whose value has a numerator or denominator of more than
-    MAX_EXPONENT digits, which could not be printed back.
+    """Convert an exact input (int, Fraction, or text) to a Fraction.  Text
+    is read by 3.10's Fraction grammar on every Python: `N/D`, or `N`, `N.`,
+    `.F` or `N.F` with an optional `eX`, for decimal digits N, D, F and X, N
+    and X signed or not, in optional whitespace; so `_`, `d` and whitespace
+    beside `/`, read or misread by later versions, get 3.10's refusal.
+    Floats are refused, and so is text whose decimal exponent exceeds
+    MAX_EXPONENT in magnitude, or whose value has a numerator or denominator
+    of more than MAX_EXPONENT digits, which could not be printed back.
 
-    A Fraction is returned as is: it is immutable, so no copy is needed.
-    ASCII digits, digits/nonzero digits and digits.digits are read with
-    int() part by part, as Fraction's own parser does, so the value and any
-    digit-limit refusal are the same; other text goes to Fraction."""
+    A Fraction is returned as is: it is immutable.  ASCII N, N/D with D
+    nonzero and N.F are read with int() part by part, as Fraction's parser
+    does, so the value and any digit-limit refusal are the same."""
     if type(value) is Fraction:
         return value
     if type(value) is str and value.isascii():
@@ -143,16 +145,19 @@ def as_fraction(value: RationalInput) -> Fraction:
             "floats are not accepted; pass an int, Fraction, or exact text "
             'such as "3.25" or "13/4"'
         )
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        exponent = value.lower().rpartition("e")[2].strip().lstrip("+-")
-        digits = exponent.replace("_", "").lstrip("0")
-        # the length test comes first: int() of a long digit string is slow
-        if digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
-            raise _TooLong(f"value has a decimal exponent above {MAX_EXPONENT} in "
-                           "magnitude, too large to expand exactly")
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            exponent = value.lower().rpartition("e")[2].strip().lstrip("+-")
+            digits = exponent.replace("_", "").lstrip("0")
+            # the length test comes first: int() of a long digit string is slow
+            if digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+                raise _TooLong(f"value has a decimal exponent above {MAX_EXPONENT} in "
+                               "magnitude, too large to expand exactly")
+        n, slash, d = value.partition("/")
+        if any(c in value for c in "_dD") or slash and (n[-1:].isspace() or d[:1].isspace()):
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
         return _printable(Fraction(value))
-    x = Fraction(value)
-    return _printable(x) if isinstance(value, str) and len(value) > MAX_EXPONENT else x
+    return Fraction(value)
 
 
 # bound once: a generic record __init__ calls it for every value built

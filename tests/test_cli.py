@@ -75,10 +75,13 @@ class TestAnalyze:
         (["scenarios"], [], "scenarios must map scenario names to factor maps"),
         (["scenarios", "boost"], {"ghost": "2"},
          "scenario 'boost' names unknown stages ['ghost']"),
+        # read by Fraction from Python 3.11 and 3.12 on, refused on every one
+        *((["pipeline", "stages", 0, "capacity"], text, "capacity of stage 'a' is not an "
+           f"exact rational: Invalid literal for Fraction: {text!r}") for text in ["1_000", "3 / 4"]),
     ], ids=["no-format-version", "no-pipeline", "stages-not-list", "no-stages", "zero-capacity",
             "stage-id-not-text", "human-stages-text", "authority-unknown-stage",
             "assist-bounds-list", "assist-bound-below-one", "scenarios-list",
-            "scenario-unknown-stage"])
+            "scenario-unknown-stage", "underscore-capacity", "spaced-ratio-capacity"])
     def test_malformed_section_exits_1(self, tmp_path, capsys, path, value, message):
         bad = _file(tmp_path, "bad.json", replaced(json.loads(EXAMPLE_DOC), path, value))
         assert main(["analyze", bad]) == 1

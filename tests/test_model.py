@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,10 +61,17 @@ UNPRINTABLE_REFUSAL = (
     "many to print exactly")
 
 
+# Python 3.10's Fraction grammar, which as_fraction reads on every interpreter
+RATIONAL_310 = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:E[-+]?\d+)?)\s*\Z",
+                          re.IGNORECASE)
+
+
 def _printable_fraction(text):
-    """Fraction(text), refused as as_fraction refuses a value whose
-    numerator or denominator has more than 4300 digits: with the ValueError
-    subclass that lets a document name the value in its place."""
+    """Fraction(text) by 3.10's grammar, refused as as_fraction refuses a
+    value whose numerator or denominator has more than 4300 digits: with the
+    ValueError subclass that lets a document name the value in its place."""
+    if not RATIONAL_310.match(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     x = Fraction(text)
     if max(abs(x.numerator), x.denominator) >= 10 ** 4300:
         raise _TooLong(UNPRINTABLE_REFUSAL)
@@ -139,19 +147,18 @@ class TestAsFraction:
         ("1/0", (ZeroDivisionError, "Fraction(1, 0)")),
         ("1/00", (ZeroDivisionError, "Fraction(1, 0)")),
         ("3.25", Fraction(13, 4)), ("3.", 3), (".5", Fraction(1, 2)),
-        ("1_000", 1000), ("+3", 3), (" 3", 3),
+        ("1_000", (ValueError, "Invalid literal for Fraction: '1_000'")),
+        ("3.d", (ValueError, "Invalid literal for Fraction: '3.d'")), ("+3", 3), (" 3", 3),
         ("²", (ValueError, "Invalid literal for Fraction: '²'")),
         ("٣", 3), ("1e3", 1000),
         ("1e5000", (_TooLong, "value has a decimal exponent above 4300 in "
                               "magnitude, too large to expand exactly")),
-        ("9" * 4301, (ValueError, "Exceeds the limit (4300 digits) for integer "
-                                  "string conversion: value has 4301 digits; use "
-                                  "sys.set_int_max_str_digits() to increase the limit")),
+        ("9" * 4301, _conversion(int, "9" * 4301)),  # the interpreter's own wording
         ("", (ValueError, "Invalid literal for Fraction: ''")),
         ("/", (ValueError, "Invalid literal for Fraction: '/'")),
     ], ids=["digits", "leading-zeros", "ratio", "zero-over", "zero-denominator",
             "zeros-denominator", "decimal", "no-fraction-digits", "no-whole-digits",
-            "underscore", "plus", "leading-space", "superscript", "arabic-indic",
+            "underscore", "d-after-point", "plus", "leading-space", "superscript", "arabic-indic",
             "exponent", "huge-exponent", "4301-digits", "empty", "slash"])
     def test_recorded_conversion(self, text, outcome):
         expected = outcome if type(outcome) is tuple else (Fraction, outcome)
