@@ -317,10 +317,25 @@ class TestValidatePipeline:
         assert isinstance(rep, ValidationReport)
         assert any("assumption 1" in v for v in rep.violations)
 
+    def test_zero_capacity(self):
+        rep = validate_pipeline(("a",), {"a": 0})
+        assert isinstance(rep, ValidationReport)
+        assert any("assumption 2" in v for v in rep.violations)
+
     def test_example_valid(self):
         p = validate_pipeline(("a", "b", "c"), {"a": 3, "b": 1, "c": 4})
         assert isinstance(p, Pipeline)
         assert p.capacity["a"] == 3
+
+    def test_duplicate_ids(self):
+        rep = validate_pipeline(("a", "a"), {"a": 1})
+        assert isinstance(rep, ValidationReport)
+        assert any("duplicate" in v for v in rep.violations)
+
+    def test_unknown_capacity(self):
+        rep = validate_pipeline(("a",), {"a": 1, "ghost": 2})
+        assert isinstance(rep, ValidationReport)
+        assert any("unknown stage" in v for v in rep.violations)
 
     def test_reports_all_violations(self):
         rep = validate_pipeline(("a", "a"), {"a": -1, "ghost": 2})
