@@ -417,15 +417,19 @@ class TestVerify:
         assert main(["verify", "--count", "25", "--max-stages", "1"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
-    def test_structured_report_is_unchanged(self, capsys):
-        # sha256 of this report as first recorded; any drift in a generator
-        # or a check family changes it
-        assert main(["verify", "--seed", "20260823", "--count", "500",
-                     "--format", "structured"]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == (
-            "af849b1d90913402dc5d4538b22223bc84ecc65bbee2db7c0974f37ae5e9a719"
-        )
+    # sha256 of each report as first recorded; any drift in a generator or a
+    # check family changes it
+    @pytest.mark.parametrize("argv, expected", [
+        ("verify --seed 20260823 --count 10000 --format structured",
+         "62f3102a54d710671f0c5c8e1a8cbc6ebcc7cc4e116d10a75a74055c8617a688"),
+        ("verify --replay=20260823:0",
+         "037182fa1c39ff3a5c02389e2aa260da0e9dfb5e2118e572c63e6e26d19aa6e2"),
+        ("verify --replay=20260823:0 --format structured",
+         "a1f61fef4378e1e60ec4ca8c21c4f63f7ec6fec44b604c40e04bdbf98d87ac49"),
+    ], ids=["verify-10000", "replay-text", "replay-structured"])
+    def test_structured_report_is_unchanged(self, capsys, argv, expected):
+        assert main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
     def test_raising_check_family_exits_2(self, capsys, monkeypatch):
         def raising(attacker, aA, defender, aD):
