@@ -242,16 +242,20 @@ def _check_description(
     violations = []
     if len(stages) == 0:
         violations.append("assumption 1 violated: stage set is empty")
-    seen = set()
+    seen, missing = set(), []
     for s in stages:
         if not isinstance(s, str) or not s:
             violations.append(f"stage id {_quoted(s)} is not nonempty text")
         elif s in seen:
             violations.append(f"duplicate stage id {_quoted(s)}: stage ids form a set")
-        seen.add(s)
-    for s in stages:
-        if s not in capacity:
-            violations.append(f"stage {_quoted(s)} has no capacity")
+        try:
+            seen.add(s)
+            given = s in capacity
+        except TypeError:  # an unhashable id, reported above, keys no capacity
+            given = False
+        if not given:
+            missing.append(f"stage {_quoted(s)} has no capacity")
+    violations += missing
     for s in capacity:
         if s not in seen:
             violations.append(f"capacity given for unknown stage {_quoted(s)}")

@@ -345,6 +345,10 @@ class TestValidatePipeline:
             "capacity given for unknown stage 'ghost'",
             "assumption 2 violated: capacity of stage 'a' is -1 (must be > 0)")
 
+    def test_reports_an_unhashable_id(self):
+        assert validate_pipeline([["a"]], {}).violations == (
+            "stage id ['a'] is not nonempty text", "stage ['a'] has no capacity")
+
     @pytest.mark.parametrize("capacity", [
         {"a": Fraction(3), "b": Fraction(1, 2)}, {"a": Fraction(3), "b": "1/2"}],
         ids=["all-Fractions", "mixed"])

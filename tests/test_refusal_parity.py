@@ -98,8 +98,6 @@ PIPELINE_REFUSALS = [
          "assumption 2 violated: capacity of stage 'a' is -1/2 (must be > 0)"),
     _row("bad-text", lambda: Pipeline(("a",), {"a": "abc"}), ValueError,
          "Invalid literal for Fraction: 'abc'"),
-    _row("unhashable-id", lambda: Pipeline(([1],), {"a": 1}), TypeError,
-         "unhashable type: 'list'"),
     # two or more checks broken at once: every violation, in check order
     _row("duplicate-unknown-negative",
          lambda: Pipeline(("a", "a"), {"a": -1, "ghost": 2}),
@@ -110,6 +108,9 @@ PIPELINE_REFUSALS = [
     _row("non-text-and-missing", lambda: Pipeline((1, "b"), {"b": 1}),
          PipelineValidationError,
          "stage id 1 is not nonempty text; stage 1 has no capacity"),
+    _row("unhashable-id", lambda: Pipeline(([1],), {"a": 1}), PipelineValidationError,
+         "stage id [1] is not nonempty text; stage [1] has no capacity; capacity "
+         "given for unknown stage 'a'"),
     _row("empty-id-and-zero", lambda: Pipeline(("", "b"), {"": 1, "b": 0}),
          PipelineValidationError,
          "stage id '' is not nonempty text; assumption 2 violated: capacity "
