@@ -15,8 +15,8 @@ credited to no test.
     python tools/mutants.py                          # full matrix, all tests
     python tools/mutants.py --modules harness -x tests/test_harness.py
 
-Prints one line per mutant, writes the matrix as JSON with --out, and exits
-1 if any mutant survives.
+Prints one line per mutant as its run ends, writes the matrix as JSON with
+--out, and exits 1 if any mutant survives.
 """
 
 import argparse
@@ -157,6 +157,13 @@ def run(mutant, snapshot, args):
     return ("killed" if proc.returncode else "survived"), failed
 
 
+def report(name, status, failed):
+    """Print one mutant's line as its run ends, in one write, so that lines
+    from parallel runs do not interleave."""
+    print(f"{status:8} {len(failed):4} {name}\n", end="", flush=True)
+    return name, status, failed
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tests", nargs="*", default=["tests"])
@@ -177,9 +184,7 @@ def main(argv=None):
         if status != "survived":
             sys.exit(f"the tests fail on the unmutated code: {status} {failed[:5]}")
         with ThreadPoolExecutor(WORKERS) as pool:
-            results = list(pool.map(lambda m: (m[0], *run(m, snapshot, args)), mutants))
-    for name, status, failed in results:
-        print(f"{status:8} {len(failed):4} {name}")
+            results = list(pool.map(lambda m: report(m[0], *run(m, snapshot, args)), mutants))
     counts = {s: sum(r[1] == s for r in results)
               for s in ("killed", "timeout", "survived")}
     print(f"{len(results)} mutants: " + ", ".join(f"{n} {s}" for s, n in counts.items()))
