@@ -9,7 +9,10 @@ reproduces an instance exactly, and independent instances could be
 generated by parallel workers with no shared state.
 
 `verify_all` drives every equivalence and bound check in the library across
-the generated instances and tallies results per check.  A counterexample —
+the generated instances and tallies results per check.  It verifies
+contiguous blocks of indices, runs each check family over a whole block
+before the next, and merges the results in index order; `verify_instance`
+is the one-index block of the same path.  A counterexample —
 which would indicate an implementation bug, since the underlying facts are
 proved — carries its (seed, index) for exact replay.
 """
@@ -250,39 +253,55 @@ def check_monotonicity(p: Pipeline, a: Multiplier,
     return []
 
 
-def verify_instance(cfg: GeneratorConfig, index: int) -> dict[str, list[str]]:
-    """All checks for one instance; maps check name to its failures.
+# (name, run(cfg, index, p, a)) for each check family, in report order; the
+# attacker of generate_pair is (p, a), so adversarial draws only the defender
+_FAMILIES = (
+    ("characterizations",
+     lambda cfg, index, p, a: list(verify_characterizations(p, a).failures)),
+    ("monotonicity", lambda cfg, index, p, a: check_monotonicity(
+        p, a, generate_dominating(cfg, index, a))),
+    ("ceiling", lambda cfg, index, p, a: check_ceiling(
+        p, a, generate_authority(cfg, index, p))),
+    ("adversarial", lambda cfg, index, p, a: check_adversarial(
+        p, a, *_generate_defender(cfg, index))),
+    ("falsepos", lambda cfg, index, p, a: check_falsepos(
+        *generate_fp_model(cfg, index))),
+)
+_BLOCK = 64  # instances that verify_all generates and holds at a time
 
-    An exception raised inside a check family is that family's failure,
-    recorded as "<ExcType>: <message>", and the other families still run.
+
+def _verify_range(cfg: GeneratorConfig,
+                  indices: range) -> list[dict[str, list[str]]]:
+    """`verify_instance` of each index in `indices`, in order.  Each family
+    runs over every instance of the range before the next family starts.
+
+    An exception raised inside a check family is that family's failure at
+    that index, recorded as "<ExcType>: <message>", and the other families
+    still run.
     """
-    p, a = generate_instance(cfg, index)
-    families = {
-        "characterizations": lambda: list(verify_characterizations(p, a).failures),
-        "monotonicity": lambda: check_monotonicity(
-            p, a, generate_dominating(cfg, index, a)),
-        "ceiling": lambda: check_ceiling(p, a, generate_authority(cfg, index, p)),
-        # generate_pair's attacker is (p, a): only the defender is drawn here
-        "adversarial": lambda: check_adversarial(
-            p, a, *_generate_defender(cfg, index)),
-        "falsepos": lambda: check_falsepos(*generate_fp_model(cfg, index)),
-    }
-    results: dict[str, list[str]] = {}
-    for name, run in families.items():
-        try:
-            results[name] = run()
-        except Exception as exc:  # a defect, kept with its (seed, index)
-            results[name] = [f"{type(exc).__name__}: {exc}"]
+    instances = [generate_instance(cfg, index) for index in indices]
+    results: list[dict[str, list[str]]] = [{} for _ in instances]
+    for name, run in _FAMILIES:
+        for index, (p, a), result in zip(indices, instances, results):
+            try:
+                result[name] = run(cfg, index, p, a)
+            except Exception as exc:  # a defect, kept with its (seed, index)
+                result[name] = [f"{type(exc).__name__}: {exc}"]
     return results
 
 
+def verify_instance(cfg: GeneratorConfig, index: int) -> dict[str, list[str]]:
+    """All checks for one instance; maps check name to its failures."""
+    return _verify_range(cfg, range(index, index + 1))[0]
+
+
 def verify_all(cfg: GeneratorConfig) -> HarnessVerdict:
-    results: dict[str, list[str]] = {}
     counterexamples: list[Counterexample] = []
-    for index in range(cfg.instance_count):
-        results = verify_instance(cfg, index)
+    for start in range(0, cfg.instance_count, _BLOCK):
+        block = range(start, min(start + _BLOCK, cfg.instance_count))
         counterexamples += [
             Counterexample(check=name, seed=cfg.seed, index=index, message=message)
+            for index, results in zip(block, _verify_range(cfg, block))
             for name, failures in results.items() for message in failures
         ]
     return HarnessVerdict(
@@ -290,7 +309,7 @@ def verify_all(cfg: GeneratorConfig) -> HarnessVerdict:
         count=cfg.instance_count,
         # exact: every family runs on every instance, and an exception
         # inside one is that family's failure, not a skipped check
-        checks=dict.fromkeys(results, cfg.instance_count),
+        checks={name: cfg.instance_count for name, _ in _FAMILIES if cfg.instance_count},
         counterexamples=tuple(counterexamples),
         max_stages=cfg.max_stages,
     )

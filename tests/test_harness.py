@@ -199,6 +199,32 @@ class TestVerifyAll:
             for i in range(3)
         ]
 
+    def test_two_failing_families_interleave_in_index_order(self, monkeypatch):
+        # two families fail on every instance of a run that crosses a block
+        # boundary: the counterexamples go index by index, and within an
+        # index in family order, as verify_instance reports them
+        def corrupted(p, a):
+            return CharacterizationVerdict(passed=False, failures=("corrupted",),
+                                           detail={})
+
+        def raising(attacker, aA, defender, aD):
+            raise RuntimeError("planted defect")
+
+        monkeypatch.setattr(harness, "verify_characterizations", corrupted)
+        monkeypatch.setattr(harness, "ratio_report", raising)
+        planted = {"characterizations": "corrupted",
+                   "adversarial": "RuntimeError: planted defect"}
+        count = harness._BLOCK + 2
+        cfg = GeneratorConfig(seed=53, instance_count=count)
+        verdict = verify_all(cfg)
+        assert [(ce.index, ce.check, ce.message) for ce in verdict.counterexamples] == [
+            (i, name, planted[name])
+            for i in range(count) for name, _ in harness._FAMILIES if name in planted]
+        for i in range(count):
+            assert {name: failures for name, failures in verify_instance(cfg, i).items()
+                    if failures} == {name: [message] for name, message in planted.items()}
+        assert verdict.checks == {name: count for name, _ in harness._FAMILIES}
+
     def test_swapped_ratio_report_is_caught(self, monkeypatch):
         # swapping attacker and defender gives a self-consistent but wrong
         # report; the recomputation from raw capacities must flag every

@@ -16,15 +16,19 @@ credited to no test.
     python tools/mutants.py --modules harness -x tests/test_harness.py
 
 Prints one line per mutant as its run ends, writes the matrix as JSON with
---out, and exits 1 if any mutant survives.
+--out, and exits 1 if any mutant survives.  On SIGTERM or SIGINT it starts no
+further mutant, ends the test runs in progress, removes its copies, prints
+the summary of the mutants that finished and exits 128 + the signal number.
 """
 
 import argparse
 import ast
+import contextlib
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -69,6 +73,8 @@ ARITHMETIC = [
 RESOLVE = "tests/test_demos.py::test_arithmetic_mutants_resolve"
 TIMEOUT = 300  # seconds per pytest run
 WORKERS = os.cpu_count() or 1
+STOP = []  # the signal that stopped the run, once SIGTERM or SIGINT came
+RUNNING = set()  # the pytest processes in flight
 
 
 def read(root, module):
@@ -130,9 +136,26 @@ def arithmetic(root, name, module, edits):
     return name, module, spans
 
 
+def kill(proc):
+    """End a pytest run together with every process it started."""
+    with contextlib.suppress(ProcessLookupError):  # the run ended already
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
+def stop(signum, frame):
+    """Start no further mutant and end the test runs in progress; the threads
+    then remove their copies."""
+    STOP.append(signum)
+    for proc in list(RUNNING):
+        kill(proc)
+
+
 def run(mutant, snapshot, args):
-    """Run the tests on one mutant; return (status, failing node ids)."""
+    """Run the tests on one mutant; return (status, failing node ids), or None
+    if stopped first."""
     _, module, spans = mutant
+    if STOP:
+        return None
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(shutil.copytree(snapshot, Path(tmp, "repo"), ignore=IGNORE))
         target = work / PACKAGE / f"{module}.py"
@@ -145,23 +168,37 @@ def run(mutant, snapshot, args):
                    "-rfE", "--tb=no", *(["-x"] if args.x else []), *args.tests,
                    # a mutant that edits quoted text fails this test on its quote alone
                    *(["--deselect", RESOLVE] if spans else [])]
-        env = dict(os.environ, PYTHONPATH=str(work / "src"))
+        # whatever the tests write to a temporary directory goes with the copy
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), TMPDIR=tmp)
+        proc = subprocess.Popen(command, cwd=work, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True,
+                                start_new_session=True)
+        RUNNING.add(proc)
+        if STOP:  # the signal came before the run was registered
+            kill(proc)
         try:
-            proc = subprocess.run(command, cwd=work, env=env, capture_output=True,
-                                  text=True, timeout=TIMEOUT)
+            stdout = proc.communicate(timeout=TIMEOUT)[0]
         except subprocess.TimeoutExpired:
+            kill(proc)
+            proc.wait()
             return "timeout", []
+        finally:
+            RUNNING.discard(proc)
+        if STOP and proc.returncode < 0:
+            return None
     failed = sorted({line.split(" ", 1)[1].split(" - ", 1)[0]
-                     for line in proc.stdout.splitlines()
+                     for line in stdout.splitlines()
                      if line.startswith(("FAILED ", "ERROR "))})
     return ("killed" if proc.returncode else "survived"), failed
 
 
-def report(name, status, failed):
+def report(name, result):
     """Print one mutant's line as its run ends, in one write, so that lines
-    from parallel runs do not interleave."""
-    print(f"{status:8} {len(failed):4} {name}\n", end="", flush=True)
-    return name, status, failed
+    from parallel runs do not interleave; a run stopped first prints none."""
+    if result:
+        status, failed = result
+        print(f"{status:8} {len(failed):4} {name}\n", end="", flush=True)
+        return name, status, failed
 
 
 def main(argv=None):
@@ -175,23 +212,30 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if set(args.modules) - set(MODULES):
         parser.error(f"unknown modules: {sorted(set(args.modules) - set(MODULES))}")
+    signal.signal(signal.SIGTERM, stop)
+    signal.signal(signal.SIGINT, stop)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         snapshot = Path(shutil.copytree(ROOT, Path(tmp, "repo"), ignore=IGNORE))
         mutants = [m for module in args.modules
                    for m in relational(snapshot, module) + deletions(snapshot, module)]
         mutants += [arithmetic(snapshot, *a) for a in ARITHMETIC if a[1] in args.modules]
-        status, failed = run(("unmutated", "model", []), snapshot, args)
-        if status != "survived":
-            sys.exit(f"the tests fail on the unmutated code: {status} {failed[:5]}")
+        unmutated = run(("unmutated", "model", []), snapshot, args)
+        if unmutated and unmutated[0] != "survived":
+            sys.exit(f"the tests fail on the unmutated code: {unmutated[0]} "
+                     f"{unmutated[1][:5]}")
         with ThreadPoolExecutor(WORKERS) as pool:
-            results = list(pool.map(lambda m: report(m[0], *run(m, snapshot, args)), mutants))
+            results = [r for r in pool.map(
+                lambda m: report(m[0], run(m, snapshot, args)), mutants) if r]
     counts = {s: sum(r[1] == s for r in results)
               for s in ("killed", "timeout", "survived")}
     print(f"{len(results)} mutants: " + ", ".join(f"{n} {s}" for s, n in counts.items()))
+    if STOP:
+        print(f"stopped by {signal.Signals(STOP[0]).name}: {len(mutants) - len(results)} "
+              f"of {len(mutants)} mutants not run to the end", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(json.dumps(
             [{"mutant": n, "status": s, "failed": f} for n, s, f in results], indent=1))
-    return 1 if counts["survived"] else 0
+    return 128 + STOP[0] if STOP else 1 if counts["survived"] else 0
 
 
 if __name__ == "__main__":
