@@ -2,8 +2,8 @@
 
 Capacities, factors, and assist bounds are written as exact text — "3",
 "3.25", or "13/4" — and parsed back to the identical rational by Python
-3.10's Fraction grammar on every interpreter (`as_fraction`; "1_000" and
-"3 / 4" are refused), so a document round-trips losslessly.  Schema:
+3.10's Fraction grammar on every interpreter (`as_fractions`, capacities in
+one call; "1_000" and "3 / 4" are refused), so documents round-trip.  Schema:
 
     {
       "format_version": "1",
@@ -39,6 +39,7 @@ from .model import (
     _quoted,
     _TooLong,
     as_fraction,
+    as_fractions,
 )
 
 FORMAT_VERSION = "1"
@@ -145,8 +146,8 @@ def parse_document(text: str) -> PipelineDocument:
     # accept first: the loop below runs only to word a refusal
     try:
         stages = [rec["id"] for rec in stage_records]
-        pipeline = Pipeline(stages, dict(zip(stages, map(
-            as_fraction, [rec["capacity"] for rec in stage_records]))))
+        pipeline = Pipeline(stages, dict(zip(stages, as_fractions(
+            [rec["capacity"] for rec in stage_records]))))
     except (TypeError, KeyError, ValueError, ZeroDivisionError):
         stages = []
         capacity = {}
@@ -260,12 +261,17 @@ def _dumps(value, pad: str = "\n") -> str:
     with text keys, lists, tuples, text, ints, bools and None.  json encodes
     an indent in Python before 3.13, so each container holding no non-empty
     container is one C encoder call, its line break and indent in the item
-    separator; only containers of containers recurse, `pad` before their end."""
+    separator; only containers of containers recurse, `pad` before their end.
+    Bools, None, ints and empty containers are written here, as json would."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        if value is None or value is True or value is False:  # by identity: True == 1
+            return "null" if value is None else "true" if value else "false"
+        return int.__repr__(value) if isinstance(value, int) else _encoder(pad)(value)
+    if not value:
+        return "{}" if is_dict else "[]"
     inner = pad + "  "
     encode = _encoder(inner)
-    if not value or not isinstance(value, (dict, list, tuple)):
-        return encode(value)
-    is_dict = isinstance(value, dict)
     values = value.values() if is_dict else value
     if {dict, list, tuple}.isdisjoint(map(type, filter(None, values))):
         text = encode(value)

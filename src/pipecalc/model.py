@@ -18,8 +18,8 @@ sign checks (capacity > 0, factor >= 1, and their relatives in `ceiling` and
 `planner`) read the sign off the normalised numerator and denominator, and
 `characterize` decides whether throughput changed, and preservation's
 separation test, on unreduced integer pairs in the same way.  Parsing is on
-integers too: `as_fraction` reads "17", "13/4" and "3.25" with int() alone,
-and any other text with Fraction.
+integers too: `as_fractions` reads "17", "13/4" and "3.25" with int() alone
+and any other text with Fraction, a whole list in one loop.
 
 Model assumptions enforced by validation (numbered for report output):
   1. the stage set is finite and nonempty;
@@ -74,7 +74,7 @@ def _printable(x: Fraction) -> Fraction:
     """`x`, refused unless its numerator and denominator have at most
     MAX_EXPONENT digits, the most that CPython prints as text.
 
-    as_fraction asks only where text can spell a longer value: off its
+    as_fractions asks only where text can spell a longer value: off its
     digit paths, or in more than MAX_EXPONENT characters.  Without an exponent
     a value has no more digits than its text has characters, and digits or
     digits/digits need no check at all: int() bounds each part, and
@@ -113,31 +113,44 @@ class AdmissibilityError(ValueError):
 
 
 def as_fraction(value: RationalInput) -> Fraction:
-    """Convert an exact input (int, Fraction, or text) to a Fraction.  Text
-    is read by 3.10's Fraction grammar on every Python: `N/D`, or `N`, `N.`,
-    `.F` or `N.F` with an optional `eX`, for decimal digits N, D, F and X, N
-    and X signed or not, in optional whitespace; so `_`, `d` and whitespace
-    beside `/`, read or misread by later versions, get 3.10's refusal.
-    Floats are refused, and so is text whose decimal exponent exceeds
-    MAX_EXPONENT in magnitude, or whose value has a numerator or denominator
-    of more than MAX_EXPONENT digits, which could not be printed back.
+    """`as_fractions` of one value; a Fraction is returned as is: it is immutable."""
+    return value if type(value) is Fraction else as_fractions((value,))[0]
 
-    A Fraction is returned as is: it is immutable.  ASCII N, N/D with D
-    nonzero and N.F are read with int() part by part, as Fraction's parser
-    does, so the value and any digit-limit refusal are the same."""
-    if type(value) is Fraction:
-        return value
-    if type(value) is str and value.isascii():
-        if value.isdigit():
-            return Fraction(int(value))
-        n, _, d = value.partition("/")
-        if n.isdigit() and d.isdigit() and d.strip("0"):
-            return Fraction(int(n), int(d))
-        w, _, f = value.partition(".")
-        if w.isdigit() and f.isdigit():
-            scale = 10 ** len(f)
-            x = Fraction(int(w) * scale + int(f), scale)
-            return _printable(x) if len(value) > MAX_EXPONENT else x
+
+def as_fractions(values: Iterable[RationalInput]) -> list[Fraction]:
+    """Convert exact inputs (ints, Fractions, or text) to Fractions in one
+    loop.  Text is read by 3.10's Fraction grammar on every Python: `N/D`,
+    or `N`, `N.`, `.F` or `N.F` with an optional `eX`, for decimal digits N,
+    D, F and X, N and X signed or not, in optional whitespace; so `_`, `d`
+    and whitespace beside `/`, read or misread by later versions, get 3.10's
+    refusal.  Floats are refused, and so is text whose decimal exponent
+    exceeds MAX_EXPONENT in magnitude, or whose value has a numerator or
+    denominator of more than MAX_EXPONENT digits.  ASCII N, N/D with D
+    nonzero and N.F are read in the loop with int() part by part, as
+    Fraction's parser does, so the value and any digit-limit refusal are
+    the same; any other value goes to `_general`."""
+    out = []
+    for value in values:
+        if type(value) is str and value.isascii():
+            if value.isdigit():
+                out.append(Fraction(int(value)))
+                continue
+            n, _, d = value.partition("/")
+            if n.isdigit() and d.isdigit() and d.strip("0"):
+                out.append(Fraction(int(n), int(d)))
+                continue
+            w, _, f = value.partition(".")
+            if w.isdigit() and f.isdigit():
+                scale = 10 ** len(f)
+                x = Fraction(int(w) * scale + int(f), scale)
+                out.append(_printable(x) if len(value) > MAX_EXPONENT else x)
+                continue
+        out.append(_general(value))
+    return out
+
+
+def _general(value) -> Fraction:
+    """A value off the digit paths of `as_fractions`, converted or refused."""
     if isinstance(value, bool):
         raise TypeError("booleans are not capacities")
     if isinstance(value, float):
@@ -287,7 +300,7 @@ class Pipeline(Record):
     ):
         stage_tuple = tuple(stages)
         cap = (dict(capacity) if set(map(type, capacity.values())) == {Fraction} else
-               {s: c if type(c) is Fraction else as_fraction(c) for s, c in capacity.items()})
+               dict(zip(capacity, as_fractions(capacity.values()))))
         # accept first: _check_description runs only to word a refusal
         if not (set(map(type, stage_tuple)) == {str} and "" not in (ids := set(stage_tuple))
                 and len(ids) == len(stage_tuple) and cap.keys() == ids
@@ -379,12 +392,13 @@ def _argmin(p: Pipeline, stages: Iterable[str] | None = None,
 
     Each value is the unreduced product of `as_integer_ratio()` pairs, and
     n1/d1 < n2/d2 exactly when n1*d2 < n2*d1, so every comparison is one
-    pair of integer products and no Fraction is built or normalised."""
+    pair of integer products and no Fraction is built or normalised.  A
+    factor that is the `ONE` object skips the multiply: it is 1/1."""
     cap, best_n, best_d, ties = p.capacity, 1, 0, []
     for s in (p.stages if stages is None else stages):
         n, d = cap[s].as_integer_ratio()
-        if weight is not None:
-            wn, wd = weight[s].as_integer_ratio()
+        if weight is not None and (w := weight[s]) is not ONE:
+            wn, wd = w.as_integer_ratio()
             n, d = n * wn, d * wd
         lhs, rhs = n * best_d, best_n * d
         if lhs < rhs:

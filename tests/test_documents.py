@@ -16,6 +16,7 @@ from pipecalc import (
     parse_document,
     serialize_document,
 )
+from pipecalc import documents, model
 from pipecalc.documents import _dumps
 
 EXAMPLE_DOC = json.dumps({
@@ -166,6 +167,19 @@ def _three_stage_doc(**parts) -> str:
         {"id": s, "capacity": "3"} for s in "abc"]}, **parts})
 
 
+def _converted_values(monkeypatch) -> list:
+    """Every value that as_fractions receives from here on, in order, from
+    as_fraction or from parse_document's one call for the capacities."""
+    values, convert = [], model.as_fractions
+
+    def recording(batch):
+        values.extend(batch)
+        return convert(batch)
+    for module in (model, documents):
+        monkeypatch.setattr(module, "as_fractions", recording)
+    return values
+
+
 class TestRepeatedValueTexts:
     # a factor or bound text is converted once per document; capacities and
     # values that are not text are converted each time
@@ -182,18 +196,23 @@ class TestRepeatedValueTexts:
             },
         })
         counts = count_calls(monkeypatch, ["as_fraction"])
+        converted = _converted_values(monkeypatch)
         parsed = parse_document(doc)
-        assert counts["as_fraction"] == len(stages) + len(texts)
+        # the capacities in one list, then each factor text on its own
+        assert converted == ["7"] * len(stages) + ["2", "3/2", "5"]
+        assert counts["as_fraction"] == len(texts)
         assert parsed.scenarios["n1"].factor["s0"] == Fraction(3, 2)
 
     def test_bound_text_converted_once(self, monkeypatch):
         doc = _three_stage_doc(authority={
             "human_stages": ["a", "b"], "assist_bounds": {"a": "2", "b": "2"}})
         counts = count_calls(monkeypatch, ["as_fraction"])
+        converted = _converted_values(monkeypatch)
         parsed = parse_document(doc)
         # three capacities and one bound text; AuthoritySpec keeps the
         # Fractions it is given
-        assert counts["as_fraction"] == 3 + 1
+        assert converted == ["3"] * 3 + ["2"]
+        assert counts["as_fraction"] == 1
         assert parsed.authority.assist_bound == {"a": 2, "b": 2}
 
     @pytest.mark.parametrize("factors, message", [
@@ -345,13 +364,16 @@ def test_dumps_is_indented_json_dumps(value):
 
 def test_flat_containers_reach_the_c_encoder_once(monkeypatch):
     # one encoder call per container that holds no non-empty container, not
-    # one per item: a flat dict or list of 1,000, and one nested under text
+    # one per item: a flat dict or list of 1,000, one nested under text, and
+    # a flat list beside bools, None, an int and an empty list
     calls = []
     make = json.encoder.c_make_encoder
     monkeypatch.setattr(json.encoder, "c_make_encoder",
                         lambda *args: calls.append(args) or make(*args))
     flat = {f"s{i}": i for i in range(1000)}
-    for value in (flat, list(range(1000)), {"factors": flat, "spent": "5/2"}):
+    beside = {"departed": ["a", "b"], "changed": True, "tied": False, "witness": None,
+              "seed": 17, "counterexamples": []}
+    for value in (flat, list(range(1000)), {"factors": flat, "spent": "5/2"}, beside):
         expected = json.dumps(value, indent=2, sort_keys=True)
         calls.clear()
         assert _dumps(value) == expected

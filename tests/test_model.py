@@ -26,7 +26,8 @@ from pipecalc import (
 )
 from pipecalc.ceiling import ConfigurationError
 from pipecalc.planner import CostModelError
-from pipecalc.model import _TooLong, _quoted as quoted, as_fraction, check_admissible
+from pipecalc.model import (
+    _TooLong, _quoted as quoted, as_fraction, as_fractions, check_admissible)
 
 
 # text that as_fraction reads with int() alone, and its neighbours that go
@@ -76,6 +77,12 @@ def _printable_fraction(text):
     if max(abs(x.numerator), x.denominator) >= 10 ** 4300:
         raise _TooLong(UNPRINTABLE_REFUSAL)
     return x
+
+
+def _in_list(text):
+    """as_fractions of `text` between two valid texts: its value, or the
+    refusal of `text` alone."""
+    return as_fractions(["1", text, "2/3"])[1]
 
 
 def _conversion(convert, text):
@@ -137,8 +144,8 @@ class TestAsFraction:
         "space-in-ratio", "exponent", "4301-digits", "4301-digit-denominator",
         "3000-dot-3000-digits"])
     def test_text_converts_as_fraction_does(self, text):
-        assert _conversion(as_fraction, text) == _conversion(
-            _printable_fraction, text)
+        for convert in (as_fraction, _in_list):
+            assert _conversion(convert, text) == _conversion(_printable_fraction, text)
 
     # each spelling's value or refusal, as recorded before the digits-only
     # test moved ahead of the partition on "/"
@@ -162,15 +169,16 @@ class TestAsFraction:
             "exponent", "huge-exponent", "4301-digits", "empty", "slash"])
     def test_recorded_conversion(self, text, outcome):
         expected = outcome if type(outcome) is tuple else (Fraction, outcome)
-        assert _conversion(as_fraction, text) == expected
+        assert _conversion(as_fraction, text) == _conversion(_in_list, text) == expected
 
     def test_digit_spellings_bypass_fractions_parser(self, monkeypatch):
         monkeypatch.setattr("fractions._RATIONAL_FORMAT", _NoParser())
-        assert as_fraction("13/4") == as_fraction("3.25") == Fraction(13, 4)
-        assert as_fraction("17") == 17
-        for text in ["1e3", "5/0", "\u0661\u0662", _General("17")]:
-            with pytest.raises(_ParserCalled):
-                as_fraction(text)
+        for convert in (as_fraction, _in_list):
+            assert convert("13/4") == convert("3.25") == Fraction(13, 4)
+            assert convert("17") == 17
+            for text in ["1e3", "5/0", "\u0661\u0662", _General("17")]:
+                with pytest.raises(_ParserCalled):
+                    convert(text)
 
 
 # short runs of digits, and long ones next to the 4300-digit limit
@@ -414,6 +422,9 @@ def exact_pipeline_with_multiplier(draw):
 @given(exact_pipeline_with_multiplier())
 @example((Pipeline(("x", "y"), {"x": Fraction(3, 2), "y": 3}),
           Multiplier({"x": 2, "y": 1})))
+# a factor equal to 1 that is not the ONE object takes the multiply
+@example((Pipeline(("x", "y"), {"x": 3, "y": Fraction(3, 2)}),
+          Multiplier({"x": Fraction(2, 2), "y": Fraction(2)})))
 def test_core_matches_fraction_oracle(pm):
     # the core decides minima and ties on integer cross-products; the
     # oracle is a Fraction scan with Fraction equality

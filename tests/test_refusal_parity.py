@@ -282,6 +282,9 @@ F = Fraction
     pytest.param(lambda: Pipeline(("a", "b"), {"b": 2, "a": 1}),
                  ("a", "b"), [("b", F, F(2)), ("a", F, F(1))],
                  id="capacity-order-differs"),
+    pytest.param(lambda: Pipeline("abcd", {"a": "17", "b": "13/4", "c": "3.25", "d": "1e3"}),
+                 tuple("abcd"), [("a", F, F(17)), ("b", F, F(13, 4)), ("c", F, F(13, 4)),
+                                 ("d", F, F(1000))], id="all-text"),
 ])
 def test_pipeline_accepts(build, stages, values):
     p = build()

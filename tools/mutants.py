@@ -54,6 +54,7 @@ ARITHMETIC = [
      [(_ARGMIN + "n * best_d, best_n * d", _ARGMIN + "n * d, best_n * best_d")]),
     ("argmin-swapped-products", "model",
      [(_ARGMIN + "n * best_d, best_n * d", _ARGMIN + "best_n * d, n * best_d")]),
+    ("decimal-without-scale", "model", [("int(w) * scale + int(f)", "int(w) + int(f)")]),
     ("witness-without-plus-one", "ceiling", [("mn)) + 1)", "mn)))")]),
     ("witness-floor-division", "ceiling", [("-(-hn * md // (hd * mn))", "hn * md // (hd * mn)")]),
     ("unchanged-numerators-only", "characterize",
